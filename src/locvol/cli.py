@@ -331,8 +331,10 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     )
     parser.add_argument("subcommand", choices=sorted(_RUNNERS))
     parser.add_argument("problem", help="path to a JSON problem file")
-    parser.add_argument("--m-max", type=int, default=10)
-    parser.add_argument("--p-max", type=int, default=8)
+    parser.add_argument("--m-max", type=int, default=None,
+                        help="sequence length; beats the file's options (default 10)")
+    parser.add_argument("--p-max", type=int, default=None,
+                        help="sequence length; beats the file's options (default 8)")
     parser.add_argument("--output", choices=("json", "csv"), default=None)
     parser.add_argument("--meta", action="store_true",
                         help="emit version/timestamp metadata on stderr")
@@ -355,11 +357,12 @@ def run(argv=None, stdout=None, stderr=None) -> int:
                 f"subcommand {args.subcommand} expects kind "
                 f"{' or '.join(kinds)}, got {problem['kind']!r}"
             )
-        opts = dict(problem.get("options", {}))
+        # an explicit flag beats the file's options, which beat the defaults
+        opts = {"m_max": 10, "p_max": 8, **problem.get("options", {})}
         if args.m_max is not None:
-            opts.setdefault("m_max", args.m_max)
+            opts["m_max"] = args.m_max
         if args.p_max is not None:
-            opts.setdefault("p_max", args.p_max)
+            opts["p_max"] = args.p_max
         output = args.output or opts.get("output", "json")
         record = _RUNNERS[args.subcommand](problem, opts)
     except ValidationFailure as exc:

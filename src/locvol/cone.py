@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .exactnum import FieldMismatch, QuadraticNumber, solve_quadratic
 from .linprog import solve_lp
@@ -410,7 +410,8 @@ def _zariski_chamber_walk(lat: SurfaceLattice, a_vec, h_vec, reach):
         if pieces and coeffs == pieces[-1]:
             breakpoints[-1] = hi  # merge identical neighbours
             continue
-        assert lo == breakpoints[-1]
+        if lo != breakpoints[-1]:
+            raise ConeError(f"volume function pieces leave a gap at {breakpoints[-1]}")
         breakpoints.append(hi)
         pieces.append(coeffs)
     return breakpoints, pieces
@@ -487,8 +488,8 @@ def _min_psef_root(c0, c1, c2, l0, l1):
     else:
         out = r2
     # explicit sign test on the selected root
-    assert _poly_eval((c0, c1, c2), out) >= 0
-    assert l0 + l1 * out >= 0
+    if _poly_eval((c0, c1, c2), out) < 0 or l0 + l1 * out < 0:
+        raise ConeError(f"selected root {out} fails the pseudo-effectivity sign test")
     return _simplify(out)
 
 
@@ -549,9 +550,6 @@ def lambda_sequence(model, m_max: int):
     exact section counts (curves, projective spaces) are supported.
     """
     n = model_dim(model) + 1
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
     out = []
     if isinstance(model, ProjSpace):
         for m in range(1, m_max + 1):
@@ -567,5 +565,5 @@ def lambda_sequence(model, m_max: int):
         while m * kdeg - k * model.degree >= 0:
             lam += section_count_curve(model, m * kdeg - k * model.degree)
             k += 1
-        out.append((m, lam, Fraction(fact * lam, m ** n)))
+        out.append((m, lam, Fraction(factorial(n) * lam, m ** n)))
     return out

@@ -6,15 +6,24 @@ volumes of bounded regions come from a recursive boundary-fan triangulation
 with exact determinants; volumes and lattice-point counts of bounded
 differences of nested unbounded polyhedra are obtained by capping with a
 halfspace that is strictly positive on the common recession cone.
+
+Lattice points are found by one fibre scan.  A fibre is the line of box
+points sharing their first n-1 coordinates; the scan loops over those
+prefixes only, FIBRE_BLOCK at a time in int64 numpy, and turns each row
+into a bound on the last coordinate by exact floor division.  The points of
+a fibre satisfying a row set then form one interval, so a difference count
+is |O| - |O n I| per fibre and enumeration expands the intervals in
+lexicographic order.  Where an intermediate could reach 2**62 the same scan
+runs on Python ints.  A scan over more than FIBRE_LIMIT fibres, or an
+enumeration of more than FIBRE_LIMIT points, raises LatticeBudget before it
+allocates.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, ceil, floor
+from math import factorial, gcd, ceil, floor, prod
 
 import numpy as np
 
@@ -651,137 +660,185 @@ def volume_of_difference(inner: Polyhedron, outer: Polyhedron) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# lattice point counting
+# lattice points: the fibre scan
 # ---------------------------------------------------------------------------
 
-def _worker_count():
-    env = os.environ.get("LOCVOL_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+FIBRE_LIMIT = 1 << 24   # fibres one scan may visit; points one enumeration may return
+FIBRE_BLOCK = 1 << 12   # fibres per vectorised block
 
 
-def _integer_constraints(p: Polyhedron):
-    """Rows (a, b) of integers with P = {x : a.x >= b}."""
-    out = []
-    for h in p.halfspaces:
-        q = h.offset.denominator
-        out.append(([q * x for x in h.normal], h.offset.numerator))
-    return out
+class LatticeBudget(GeometryError):
+    """A lattice scan or enumeration would exceed FIBRE_LIMIT."""
+
+
+def _integer_constraints(p: Polyhedron, m=1):
+    """Integer rows (a, b) whose solutions in Z^n are the lattice points of m*P.
+
+    Normals are integral, so a.x >= m*offset holds on Z^n exactly when
+    a.x >= ceil(m*offset).
+    """
+    return [(h.normal, ceil(m * h.offset)) for h in p.halfspaces]
 
 
 def _box_of(p: Polyhedron):
+    """Rational coordinate bounds (lo, hi) of a bounded polyhedron."""
     vr = p.vrep()
     if vr.rays:
         raise Unbounded("cannot box an unbounded polyhedron")
-    lo, hi = [], []
-    for i in range(p.dim):
-        coords = [v[i] for v in vr.vertices]
-        lo.append(ceil(min(coords)))
-        hi.append(floor(max(coords)))
+    lo = [min(v[i] for v in vr.vertices) for i in range(p.dim)]
+    hi = [max(v[i] for v in vr.vertices) for i in range(p.dim)]
     return lo, hi
+
+
+def _lattice_box(box, m=1):
+    """Integer coordinate bounds of the lattice points of m times a box."""
+    lo, hi = box
+    return [ceil(m * x) for x in lo], [floor(m * x) for x in hi]
+
+
+def _scan_dtype(rows, lo, hi):
+    """int64 when no intermediate of the scan can reach 2**62, else exact ints."""
+    extent = max(max(abs(l), abs(h)) for l, h in zip(lo, hi))
+    mag = max((sum(abs(x) for x in a) * extent + abs(b) for a, b in rows), default=0)
+    # a block's total is at most FIBRE_BLOCK fibres of 2*extent + 1 points
+    mag = max(mag, FIBRE_BLOCK * (2 * extent + 1))
+    return np.int64 if mag < 2 ** 62 else object
+
+
+def _split_rows(rows, dim, dtype):
+    """Rows a.x >= b grouped by the sign of their last coefficient c.
+
+    Each group is (prefix part of a, b, |c|) as arrays, for positive,
+    negative and zero c in that order.
+    """
+    groups = []
+    for keep in (lambda c: c > 0, lambda c: c < 0, lambda c: c == 0):
+        sel = [(a, b) for a, b in rows if keep(a[-1])]
+        groups.append((
+            np.array([a[:-1] for a, _ in sel], dtype=dtype).reshape(len(sel), dim - 1),
+            np.array([b for _, b in sel], dtype=dtype),
+            np.array([abs(a[-1]) for a, _ in sel], dtype=dtype),
+        ))
+    return groups
+
+
+def _fibre_interval(groups, prefix, first, last):
+    """Narrow [first, last] on each fibre to the points satisfying every row."""
+    (ap, bp, cp), (an, bn, cn), (az, bz, _) = groups
+    if len(bp):
+        # c*x_n >= b - a.p  <=>  x_n >= ceil((b - a.p)/c) = -floor((a.p - b)/c)
+        first = np.maximum(first, -((prefix @ ap.T - bp) // cp).min(axis=1))
+    if len(bn):
+        # -c*x_n >= b - a.p  <=>  x_n <= floor((a.p - b)/c)
+        last = np.minimum(last, ((prefix @ an.T - bn) // cn).min(axis=1))
+    if len(bz):
+        last = np.where((prefix @ az.T < bz).any(axis=1), first - 1, last)
+    return first, last
+
+
+def _fibre_count(lo, hi):
+    """Number of fibres of the box [lo, hi]; LatticeBudget past FIBRE_LIMIT."""
+    fibres = prod(max(0, h - l + 1) for l, h in zip(lo[:-1], hi[:-1]))
+    if fibres > FIBRE_LIMIT:
+        raise LatticeBudget(
+            f"lattice scan needs {fibres} fibres; the limit is {FIBRE_LIMIT}"
+        )
+    return fibres
+
+
+def _fibre_scan(row_sets, lo, hi):
+    """Fibre intervals of the box [lo, hi], FIBRE_BLOCK fibres at a time.
+
+    Yields (prefixes, intervals): the block's prefixes as rows, in
+    lexicographic order, and for each row set a pair of arrays (first, last)
+    such that a fibre's points satisfying every row of the set are exactly
+    those with first <= last coordinate <= last.
+    """
+    dim = len(lo)
+    fibres = _fibre_count(lo, hi)
+    if not fibres or hi[-1] < lo[-1]:
+        return
+    dtype = _scan_dtype([r for rows in row_sets for r in rows], lo, hi)
+    groups = [_split_rows(rows, dim, dtype) for rows in row_sets]
+    for start in range(0, fibres, FIBRE_BLOCK):
+        index = np.arange(start, min(start + FIBRE_BLOCK, fibres))
+        prefix = np.empty((len(index), dim - 1), dtype=dtype)
+        for k in reversed(range(dim - 1)):
+            index, digit = np.divmod(index, hi[k] - lo[k] + 1)
+            prefix[:, k] = digit.astype(dtype) + lo[k]
+        first = np.full(len(prefix), lo[-1], dtype=dtype)
+        last = np.full(len(prefix), hi[-1], dtype=dtype)
+        yield prefix, [_fibre_interval(g, prefix, first, last) for g in groups]
 
 
 def count_lattice_points(outer_rows, inner_rows, lo, hi):
     """Integer points in the box satisfying outer but not inner, exactly.
 
-    Vectorizes with int64 when magnitudes are provably safe, otherwise falls
-    back to pure-integer loops.  The reduction is an order-independent sum,
-    so the chunked/threaded path is bit-identical to the serial one.
+    Each fibre contributes |O| - |O n I| for its outer and inner intervals.
     """
-    dim = len(lo)
-    if any(l > h for l, h in zip(lo, hi)):
-        return 0
-    extent = max(max(abs(l), abs(h)) for l, h in zip(lo, hi))
-    mag = 0
-    for a, b in outer_rows + inner_rows:
-        mag = max(mag, sum(abs(x) for x in a) * extent + abs(b))
-    if mag >= 2 ** 62:
-        return _count_python(outer_rows, inner_rows, lo, hi)
-
-    ranges = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
-    a_out = np.array([a for a, _ in outer_rows], dtype=np.int64)
-    b_out = np.array([b for _, b in outer_rows], dtype=np.int64)
-    a_in = np.array([a for a, _ in inner_rows], dtype=np.int64) if inner_rows else None
-    b_in = np.array([b for _, b in inner_rows], dtype=np.int64) if inner_rows else None
-
-    def chunk_count(r0):
-        grids = np.meshgrid(r0, *ranges[1:], indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-        ok = np.all(pts @ a_out.T >= b_out, axis=1)
-        if a_in is not None:
-            bad = np.all(pts @ a_in.T >= b_in, axis=1)
-            ok &= ~bad
-        return int(np.count_nonzero(ok))
-
-    workers = _worker_count()
-    nchunk = min(len(ranges[0]), max(1, 4 * workers))
-    chunks = np.array_split(ranges[0], nchunk)
-    chunks = [c for c in chunks if len(c)]
-    if workers == 1 or len(chunks) == 1:
-        return sum(chunk_count(c) for c in chunks)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(chunk_count, chunks))
-
-
-def _count_python(outer_rows, inner_rows, lo, hi):
-    from itertools import product
-
-    count = 0
-    for pt in product(*[range(l, h + 1) for l, h in zip(lo, hi)]):
-        if all(dot(a, pt) >= b for a, b in outer_rows):
-            if not (inner_rows and all(dot(a, pt) >= b for a, b in inner_rows)):
-                count += 1
-    return count
-
-
-def count_lattice_difference(inner: Polyhedron, outer: Polyhedron, m: int) -> int:
-    """Number of integer points in (m*outer) \\ (m*inner)."""
-    if m < 1:
-        raise ValueError("scale must be a positive integer")
-    inner_m, outer_m = inner.scaled(m), outer.scaled(m)
-    cap = _difference_cap(inner_m, outer_m)
-    if cap is None:
-        if inner_m.recession_rays():
-            return 0
-        region = outer_m
-    else:
-        w, c = cap
-        region = outer_m.intersect(_cap_halfspace(w, c))
-    try:
-        lo, hi = _box_of(region)
-    except EmptyPolyhedron:
-        return 0
-    return count_lattice_points(
-        _integer_constraints(outer_m), _integer_constraints(inner_m), lo, hi
-    )
+    total = 0
+    for _, [(o_first, o_last), (i_first, i_last)] in _fibre_scan(
+        [outer_rows, inner_rows], lo, hi
+    ):
+        both = np.minimum(o_last, i_last) - np.maximum(o_first, i_first) + 1
+        total += int((np.maximum(o_last - o_first + 1, 0) - np.maximum(both, 0)).sum())
+    return total
 
 
 def lattice_points(p: Polyhedron):
     """All integer points of a bounded polyhedron, sorted, as int tuples."""
     try:
-        lo, hi = _box_of(p)
+        lo, hi = _lattice_box(_box_of(p))
     except EmptyPolyhedron:
         return []
-    if any(l > h for l, h in zip(lo, hi)):
-        return []
-    rows = _integer_constraints(p)
-    extent = max(max(abs(l), abs(h)) for l, h in zip(lo, hi))
-    mag = max(
-        (sum(abs(x) for x in a) * extent + abs(b) for a, b in rows), default=0
-    )
-    if mag >= 2 ** 62:
-        from itertools import product
+    points = []
+    for prefix, [(first, last)] in _fibre_scan([_integer_constraints(p)], lo, hi):
+        width = np.maximum(last - first + 1, 0)
+        n = int(width.sum())
+        if len(points) + n > FIBRE_LIMIT:
+            raise LatticeBudget(f"enumeration exceeds the limit of {FIBRE_LIMIT} points")
+        width = width.astype(np.int64)
+        tail = np.repeat(first - (np.cumsum(width) - width), width) + np.arange(n)
+        block = np.column_stack([np.repeat(prefix, width, axis=0), tail])
+        points.extend(map(tuple, block.tolist()))
+    return points
 
-        return [
-            pt
-            for pt in product(*[range(l, h + 1) for l, h in zip(lo, hi)])
-            if all(dot(a, pt) >= b for a, b in rows)
-        ]
-    ranges = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
-    grids = np.meshgrid(*ranges, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    a = np.array([a for a, _ in rows], dtype=np.int64)
-    b = np.array([b for _, b in rows], dtype=np.int64)
-    ok = np.all(pts @ a.T >= b, axis=1)
-    return [tuple(int(x) for x in row) for row in pts[ok]]
+
+def lattice_difference_counts(inner: Polyhedron, outer: Polyhedron, scales):
+    """Numbers of integer points in (m*outer) \\ (m*inner) for each m in scales,
+    an increasing sequence of positive integers.
+
+    The geometry is built once, at scale 1.  Nestedness, the recession rays
+    and w do not depend on m, and every capping-LP value scales linearly:
+    the level-m difference has w <= m*best, where best bounds w on the
+    scale-1 difference.  So m times the vertex box of outer n {w <= best}
+    holds every level's difference, and any box that does gives the same
+    count.
+    """
+    if not scales:
+        return []
+    if scales[0] < 1:
+        raise ValueError("scale must be a positive integer")
+    cap = _difference_cap(inner, outer)
+    if cap is None:
+        if inner.recession_rays():
+            return [0] * len(scales)
+        region = outer
+    else:
+        w, c = cap
+        region = outer.intersect(_cap_halfspace(w, c - 1))  # c = best + 1
+    try:
+        box = _box_of(region)
+    except EmptyPolyhedron:
+        return [0] * len(scales)
+    _fibre_count(*_lattice_box(box, scales[-1]))  # fail before counting any level
+    return [
+        count_lattice_points(_integer_constraints(outer, m),
+                             _integer_constraints(inner, m), *_lattice_box(box, m))
+        for m in scales
+    ]
+
+
+def count_lattice_difference(inner: Polyhedron, outer: Polyhedron, m: int) -> int:
+    """Number of integer points in (m*outer) \\ (m*inner)."""
+    return lattice_difference_counts(inner, outer, [m])[0]

@@ -151,9 +151,3 @@ def solve_lp(objective, rows, sense: str = "max") -> LPResult:
     if sense == "min":
         value = -value
     return LPResult(OPTIMAL, value, point)
-
-
-def feasible_point(rows, dim: int):
-    """A point satisfying all rows, or None if the system is infeasible."""
-    res = solve_lp([Fraction(0)] * dim, rows)
-    return res.point if res.is_optimal else None

@@ -148,7 +148,8 @@ def _orthant_transform(ideal: MonomialIdeal):
 
     def to_orthant(u):
         coords = solve_linear(basis, list(u))
-        assert all(x.denominator == 1 for x in coords)  # unimodular basis
+        if any(x.denominator != 1 for x in coords):
+            raise MonomialError(f"exponent {u} has non-integral ray coordinates")
         return tuple(int(x) for x in coords)
 
     def from_orthant(u):

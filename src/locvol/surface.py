@@ -205,11 +205,12 @@ def zariski_decompose(graph: DualGraph, target) -> ZariskiParts:
     parts, pairing = _support_iteration(graph.matrix, target)
     if any(v < 0 for v in parts.negative):
         raise NegativeCoefficient(f"effective part {parts.negative} is invalid")
-    assert all(v >= 0 for v in pairing)
-    assert all(
-        pairing[j] == 0 for j, v in enumerate(parts.negative) if v != 0
-    )
-    assert _bilinear(parts.nef, graph.matrix, parts.negative) == 0
+    if any(v < 0 for v in pairing):
+        raise SurfaceError(f"nef part pairs negatively with a curve: {pairing}")
+    if any(pairing[j] != 0 for j, v in enumerate(parts.negative) if v != 0):
+        raise SurfaceError("nef part is not orthogonal to the negative support")
+    if _bilinear(parts.nef, graph.matrix, parts.negative) != 0:
+        raise SurfaceError("nef and negative parts are not orthogonal")
     return parts
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .geometry import (
     Halfspace,
@@ -23,11 +23,11 @@ from .geometry import (
     dot,
     eliminate_direction,
     hull_polyhedron,
+    lattice_difference_counts,
     lattice_points,
     mat_rank,
     positive_functional,
     primitive,
-    count_lattice_difference,
     volume_of_difference,
 )
 
@@ -87,9 +87,6 @@ class PointedCone:
     def dual_polyhedron(self) -> Polyhedron:
         """The dual cone as a polyhedron {u : <u, g> >= 0 for all generators}."""
         return Polyhedron(self.dim, [Halfspace(g, Fraction(0)) for g in self.generators])
-
-    def dual_extreme_rays(self):
-        return self.facets
 
 
 class ToricDatum:
@@ -169,13 +166,10 @@ def h1_sequence(d: ToricDivisor, m_max: int):
     """
     sections, punctured = divisor_polyhedra(d)
     n = d.datum.dim
-    out = []
-    for m in range(1, m_max + 1):
-        if any((m * a).denominator != 1 for a in d.coeffs):
-            continue
-        count = count_lattice_difference(sections, punctured, m)
-        out.append((m, count, Fraction(factorial(n) * count, m ** n)))
-    return out
+    step = lcm(*(a.denominator for a in d.coeffs))
+    scales = range(step, m_max + 1, step)
+    counts = lattice_difference_counts(sections, punctured, scales)
+    return [(m, c, Fraction(factorial(n) * c, m ** n)) for m, c in zip(scales, counts)]
 
 
 @dataclass(frozen=True)
@@ -226,7 +220,7 @@ def stable_newton_region(region: Polyhedron, cone: PointedCone) -> Polyhedron:
     Lattice points are enumerated inside a cap; the cap doubles until the
     hull is unchanged by further enlargement (idempotence certificate).
     """
-    dual_rays = list(cone.dual_extreme_rays())
+    dual_rays = list(cone.facets)
     sigma_gens = cone.generators
     dim = cone.dim
     w = positive_functional(dual_rays, dim)
@@ -256,7 +250,7 @@ def stable_newton_region(region: Polyhedron, cone: PointedCone) -> Polyhedron:
 def saturate_region(region: Polyhedron, cone: PointedCone) -> Polyhedron:
     """Intersection of the slides of the region along all dual extreme rays."""
     rows = []
-    for tau in cone.dual_extreme_rays():
+    for tau in cone.facets:
         slid = eliminate_direction(region, tau)
         rows.extend(slid.halfspaces)
     return Polyhedron(region.dim, rows).pruned()

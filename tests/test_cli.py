@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -171,6 +174,51 @@ def test_exit_3_on_computational_error(tmp_path, result_validator):
     assert err["error"]["code"] == "computation"
     assert err["error"]["name"] == "NotNegativeDefinite"
     result_validator.validate(err)
+
+
+def test_explicit_flag_beats_file_options_which_beat_defaults(tmp_path):
+    def last_index(*argv):
+        code, out, _ = invoke(*argv)
+        assert code == 0, out
+        return json.loads(out)["sequences"]["rows"][-1][0]
+
+    # tnc.json sets m_max 20, mon_x3xy3.json sets p_max 40
+    assert last_index("toric-h1", fixture("tnc.json")) == 20
+    assert last_index("toric-h1", fixture("tnc.json"), "--m-max", "6") == 6
+    assert last_index("monomial-mult", fixture("mon_x3xy3.json")) == 40
+    assert last_index("monomial-mult", fixture("mon_x3xy3.json"), "--p-max", "5") == 5
+    bare = json.loads((SCHEMAS / "tnc.json").read_text())
+    del bare["options"]
+    path = write_problem(tmp_path, bare)
+    assert last_index("toric-h1", path) == 10
+    assert invoke("toric-h1", path) == invoke("toric-h1", path, "--m-max", "10")
+    bare = json.loads((SCHEMAS / "mon_x3xy3.json").read_text())
+    del bare["options"]
+    path = write_problem(tmp_path, bare)
+    assert last_index("monomial-mult", path) == 8
+
+
+def test_huge_lattice_scan_ends_with_a_record(tmp_path, result_validator):
+    # its box at m = 3 holds 3.6e13 points; a dense scan exhausted memory
+    path = write_problem(tmp_path, {
+        "kind": "toric",
+        "payload": {"cone": {"generators": [[1, 0], [0, 1]]},
+                    "rays": [[1, 0], [0, 1], [1, 1]], "coeffs": [0, 0, -2000000]},
+    })
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for m_max, code in (("3", 0), ("12", 3)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "locvol.cli", "toric-h1", path, "--m-max", m_max],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        record = json.loads(proc.stdout)
+        result_validator.validate(record)
+        if code == 0:
+            assert record["sequences"]["rows"][0][:2] == [1, 2000001000000]
+        else:
+            assert record["error"]["name"] == "LatticeBudget"
 
 
 def test_packaged_schema_matches_published_copy():

@@ -284,3 +284,11 @@ def test_riemann_roch_consistency():
         model = Curve(2, 1, general_position=flag)
         for d in (3, 4, 7):
             assert section_count_curve(model, d) == d - 1
+
+
+def test_root_sign_guard_raises_cone_error():
+    from locvol.cone import ConeError, _min_psef_root
+
+    # c(t) = 1 - t^2 is negative at the linear root t = -5
+    with pytest.raises(ConeError):
+        _min_psef_root(F(1), F(0), F(-1), F(5), F(1))

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -247,14 +249,122 @@ def test_count_converges_to_volume():
         assert abs(ratio - vol) * m <= 8  # perimeter-scale error bound
 
 
-def test_count_threads_env_does_not_change_result(monkeypatch):
-    inner = staircase_hull()
-    outer = poly(2, [((1, 0), 1), ((0, 1), 0)])
-    base = count_lattice_difference(inner, outer, 17)
-    monkeypatch.setenv("LOCVOL_THREADS", "3")
-    assert count_lattice_difference(inner, outer, 17) == base
-    monkeypatch.setenv("LOCVOL_THREADS", "1")
-    assert count_lattice_difference(inner, outer, 17) == base
+# -- fibre scan against a dense scan -------------------------------------------
+
+def dense_points(rows, lo, hi):
+    """Reference: every point of the box, tested against every row."""
+    from itertools import product
+
+    return [pt for pt in product(*[range(l, h + 1) for l, h in zip(lo, hi)])
+            if all(sum(a * x for a, x in zip(n, pt)) >= b for n, b in rows)]
+
+
+def dense_count(outer_rows, inner_rows, lo, hi):
+    inner = set(dense_points(inner_rows, lo, hi))
+    return sum(1 for pt in dense_points(outer_rows, lo, hi) if pt not in inner)
+
+
+def random_rows(rng, dim, k):
+    """Integer rows with small entries; about a third have last coefficient 0."""
+    rows = []
+    for _ in range(k):
+        normal = [rng.randint(-3, 3) for _ in range(dim)]
+        if rng.random() < 1 / 3:
+            normal[-1] = 0
+        rows.append((tuple(normal), rng.randint(-8, 3)))
+    return rows
+
+
+def random_box(rng, dim):
+    lo = [rng.randint(-4, 1) for _ in range(dim)]
+    return lo, [l + rng.randint(-1, 5 - dim) for l in lo]  # width 0 gives empty boxes
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_fibre_count_matches_dense_scan(dim):
+    from locvol.geometry import count_lattice_points
+
+    rng = random.Random(dim)
+    for _ in range(60):
+        lo, hi = random_box(rng, dim)
+        outer = random_rows(rng, dim, rng.randint(0, 4))
+        inner = outer + random_rows(rng, dim, rng.randint(1, 3))
+        assert count_lattice_points(outer, inner, lo, hi) == dense_count(outer, inner, lo, hi)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_lattice_points_match_dense_scan(dim):
+    from locvol.geometry import lattice_points
+
+    rng = random.Random(10 + dim)
+    for _ in range(40):
+        lo, hi = random_box(rng, dim)
+        box_rows = []
+        for i in range(dim):
+            e = tuple(1 if j == i else 0 for j in range(dim))
+            box_rows += [(e, lo[i]), (tuple(-x for x in e), -hi[i])]
+        rows = box_rows + [r for r in random_rows(rng, dim, rng.randint(0, 3)) if any(r[0])]
+        p = poly(dim, [(n, F(b) - F(rng.randint(0, 2), 3)) for n, b in rows])
+        expected = dense_points(
+            [(h.normal, h.offset) for h in p.halfspaces],
+            [l - 1 for l in lo], [h + 1 for h in hi],
+        )
+        assert lattice_points(p) == expected
+
+
+def test_fibre_scan_at_2_62_takes_exact_integers():
+    from locvol.geometry import _scan_dtype, count_lattice_points, lattice_points
+
+    big = 2 ** 62 + 5
+    # a small triangle translated to x = big: rows x >= big, y >= 0, x + y <= big + 3
+    rows = [((1, 0), big), ((0, 1), 0), ((-1, -1), -(big + 3))]
+    lo, hi = [big - 1, -1], [big + 4, 4]
+    assert _scan_dtype(rows, lo, hi) is object
+    pts = lattice_points(poly(2, rows))
+    assert pts == [(big + i, j) for i in range(4) for j in range(4 - i)]
+    assert all(type(x) is int for pt in pts for x in pt)
+    inner = rows + [((1, 1), big + 2)]
+    small = [((1, 0), 0), ((0, 1), 0), ((-1, -1), -3)]
+    assert count_lattice_points(rows, inner, lo, hi) == dense_count(
+        small, small + [((1, 1), 2)], [-1, -1], [4, 4]
+    ) == 3
+
+
+def test_fibre_budget_is_checked_before_scanning():
+    from locvol.geometry import FIBRE_LIMIT, LatticeBudget, count_lattice_points
+
+    side = int(FIBRE_LIMIT ** 0.5) + 1
+    with pytest.raises(LatticeBudget):
+        count_lattice_points([((0, 0, 1), 0)], [], [0, 0, 0], [side, side, 1])
+
+
+@pytest.mark.parametrize("family", ["tnc", "q4"])
+def test_h1_sequence_matches_per_level_counts(family):
+    from locvol.toric import (PointedCone, ToricDatum, ToricDivisor,
+                              divisor_polyhedra, h1_sequence)
+
+    if family == "tnc":
+        cone = [(0, 1, 0), (0, 0, 1), (1, 0, -2)]
+        datum = ToricDatum(PointedCone(cone), cone + [(1, 1, 1), (1, 0, 0)])
+        d, m_max = ToricDivisor(datum, (0, 0, 2, F(-3, 2), 0)), 9
+    else:
+        cone = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+        rays = cone + [(1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1)]
+        d, m_max = ToricDivisor(ToricDatum(PointedCone(cone), rays),
+                                (0, 0, 0, 0, -2, -2, -3, -3)), 4
+    inner, outer = divisor_polyhedra(d)
+    n = d.datum.dim
+    expected = []
+    for m in range(1, m_max + 1):
+        if all((m * a).denominator == 1 for a in d.coeffs):
+            # capping LPs and box built on the scaled polyhedra themselves
+            c = count_lattice_difference(inner.scaled(m), outer.scaled(m), 1)
+            assert c == count_lattice_difference(inner, outer, m)
+            expected.append((m, c, F(factorial(n) * c, m ** n)))
+    assert h1_sequence(d, m_max) == expected
+    assert [m for m, _, _ in expected] == (
+        list(range(2, m_max + 1, 2)) if family == "tnc" else list(range(1, m_max + 1))
+    )
 
 
 # -- projection and sliding --------------------------------------------------

@@ -216,3 +216,14 @@ def test_orthogonality_on_lattice():
     nef, coeffs = lattice_zariski(lat, (2, 1))
     for i, v in coeffs.items():
         assert lat.pair(nef, lat.negative_curves[i]) == 0
+
+
+def test_zariski_guard_raises_surface_error(monkeypatch):
+    import locvol.surface as surface
+
+    def bad_iteration(gram, target):
+        return surface.ZariskiParts((F(1),), (F(0),)), (F(-1),)
+
+    monkeypatch.setattr(surface, "_support_iteration", bad_iteration)
+    with pytest.raises(surface.SurfaceError):
+        surface.zariski_decompose(surface.DualGraph([(-2, 0)]), (F(1),))
