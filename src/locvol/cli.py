@@ -45,6 +45,9 @@ SUBCOMMANDS = {
 }
 
 
+SEQUENCE_LIMIT = 10 ** 5  # levels one --m-max/--p-max sequence may have
+
+
 class ValidationFailure(Exception):
     pass
 
@@ -189,13 +192,11 @@ def _run_toric_h1(problem, opts):
 def _run_monomial_mult(problem, opts):
     ideal = _build_ideal(problem["payload"])
     value = asymptotic_multiplicity(ideal)
-    sequences = None
-    if opts.get("p_max"):
-        seq = multiplicity_sequence(ideal, opts["p_max"])
-        sequences = {
-            "header": ["p", "mult", "normalized"],
-            "rows": [[p, h, _cell(norm)] for p, h, norm in seq],
-        }
+    seq = multiplicity_sequence(ideal, opts["p_max"])
+    sequences = {
+        "header": ["p", "mult", "normalized"],
+        "rows": [[p, h, _cell(norm)] for p, h, norm in seq],
+    }
     return _record(problem, value, "monomial.asymptotic_multiplicity", sequences)
 
 
@@ -363,6 +364,14 @@ def run(argv=None, stdout=None, stderr=None) -> int:
             opts["m_max"] = args.m_max
         if args.p_max is not None:
             opts["p_max"] = args.p_max
+        for key in ("m_max", "p_max"):
+            if opts[key] < 1:
+                raise ValidationFailure(f"{key} must be at least 1, got {opts[key]}")
+            if opts[key] > SEQUENCE_LIMIT:
+                _error("computation", "SequenceBudget",
+                       f"{key} {opts[key]} exceeds the limit of {SEQUENCE_LIMIT} levels",
+                       stdout)
+                return 3
         output = args.output or opts.get("output", "json")
         record = _RUNNERS[args.subcommand](problem, opts)
     except ValidationFailure as exc:

@@ -17,6 +17,10 @@ lexicographic order.  Where an intermediate could reach 2**62 the same scan
 runs on Python ints.  A scan over more than FIBRE_LIMIT fibres, or an
 enumeration of more than FIBRE_LIMIT points, raises LatticeBudget before it
 allocates.
+
+numpy is imported inside the scan functions only, so importing this module,
+and every exact path that never counts lattice points (volumes, LPs,
+vertex and facet enumeration), runs without loading it.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, ceil, floor, prod
-
-import numpy as np
 
 from .linprog import LPResult, solve_lp
 
@@ -698,6 +700,7 @@ def _lattice_box(box, m=1):
 
 def _scan_dtype(rows, lo, hi):
     """int64 when no intermediate of the scan can reach 2**62, else exact ints."""
+    import numpy as np
     extent = max(max(abs(l), abs(h)) for l, h in zip(lo, hi))
     mag = max((sum(abs(x) for x in a) * extent + abs(b) for a, b in rows), default=0)
     # a block's total is at most FIBRE_BLOCK fibres of 2*extent + 1 points
@@ -711,6 +714,7 @@ def _split_rows(rows, dim, dtype):
     Each group is (prefix part of a, b, |c|) as arrays, for positive,
     negative and zero c in that order.
     """
+    import numpy as np
     groups = []
     for keep in (lambda c: c > 0, lambda c: c < 0, lambda c: c == 0):
         sel = [(a, b) for a, b in rows if keep(a[-1])]
@@ -724,6 +728,7 @@ def _split_rows(rows, dim, dtype):
 
 def _fibre_interval(groups, prefix, first, last):
     """Narrow [first, last] on each fibre to the points satisfying every row."""
+    import numpy as np
     (ap, bp, cp), (an, bn, cn), (az, bz, _) = groups
     if len(bp):
         # c*x_n >= b - a.p  <=>  x_n >= ceil((b - a.p)/c) = -floor((a.p - b)/c)
@@ -754,6 +759,7 @@ def _fibre_scan(row_sets, lo, hi):
     such that a fibre's points satisfying every row of the set are exactly
     those with first <= last coordinate <= last.
     """
+    import numpy as np
     dim = len(lo)
     fibres = _fibre_count(lo, hi)
     if not fibres or hi[-1] < lo[-1]:
@@ -776,6 +782,7 @@ def count_lattice_points(outer_rows, inner_rows, lo, hi):
 
     Each fibre contributes |O| - |O n I| for its outer and inner intervals.
     """
+    import numpy as np
     total = 0
     for _, [(o_first, o_last), (i_first, i_last)] in _fibre_scan(
         [outer_rows, inner_rows], lo, hi
@@ -787,6 +794,7 @@ def count_lattice_points(outer_rows, inner_rows, lo, hi):
 
 def lattice_points(p: Polyhedron):
     """All integer points of a bounded polyhedron, sorted, as int tuples."""
+    import numpy as np
     try:
         lo, hi = _lattice_box(_box_of(p))
     except EmptyPolyhedron:

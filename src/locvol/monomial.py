@@ -15,8 +15,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 
-import numpy as np
-
 from .geometry import (
     Halfspace,
     Polyhedron,
@@ -188,6 +186,7 @@ def saturation(ideal: MonomialIdeal) -> MonomialIdeal:
 
 def _staircase_mask(pts, gens):
     """Boolean membership of integer points in the ideal of the generators."""
+    import numpy as np
     a = np.asarray(pts, dtype=np.int64)
     g = np.asarray(gens, dtype=np.int64)
     return (a[:, None, :] >= g[None, :, :]).all(axis=2).any(axis=1)
@@ -199,6 +198,7 @@ def h1_dim(ideal: MonomialIdeal) -> int:
     The enumeration box doubles until no counted point touches its outer
     faces, which certifies that nothing was missed.
     """
+    import numpy as np
     if ideal.ambient is not None:
         moved, _ = _orthant_transform(ideal)
         return h1_dim(moved)

@@ -221,6 +221,69 @@ def test_huge_lattice_scan_ends_with_a_record(tmp_path, result_validator):
             assert record["error"]["name"] == "LatticeBudget"
 
 
+def test_sequence_length_below_one_is_invalid():
+    for argv in (("fujita-check", fixture("tnc_fujita.json"), "--p-max", "-1"),
+                 ("monomial-mult", fixture("mon_x3xy3.json"), "--p-max", "0"),
+                 ("toric-h1", fixture("tnc.json"), "--m-max", "0")):
+        code, out, _ = invoke(*argv)
+        assert code == 2, out
+        assert json.loads(out)["error"]["code"] == "validation"
+
+
+def test_overlong_sequence_ends_with_a_record(tmp_path, result_validator):
+    # no lattice budget bounds these (lambda-seq counts none, and the toric
+    # difference is empty), so only the sequence budget stops them
+    toric = write_problem(tmp_path, {
+        "kind": "toric",
+        "payload": {"cone": {"generators": [[1, 0], [0, 1]]},
+                    "rays": [[1, 0], [0, 1], [1, 1]], "coeffs": [0, 0, 1]},
+    })
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for sub, path in (("lambda-seq", fixture("pspace.json")), ("toric-h1", toric)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "locvol.cli", sub, path, "--m-max", "100000000"],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 3, proc.stdout
+        assert "Traceback" not in proc.stderr
+        record = json.loads(proc.stdout)
+        result_validator.validate(record)
+        assert record["error"]["name"] == "SequenceBudget"
+
+
+NUMPY_FREE = [("toric-volume", "tnc.json"), ("surface-volume", "a1.json"),
+              ("cone-volume", "abelian_cover.json"), ("cone-gamma", "pspace.json"),
+              ("bdff-volume", "p1xC.json"), ("lambda-seq", "pspace.json"),
+              ("convexity-check", "tnc_convexity.json")]
+
+# prints, after each stage, the stage and whether numpy is loaded
+NUMPY_PROBE = """
+import io, json, sys
+def seen(stage):
+    print(json.dumps([stage, "numpy" in sys.modules]))
+import locvol
+seen("import locvol")
+from locvol import cli
+seen("import locvol.cli")
+for sub, path in json.loads(sys.argv[1]):
+    seen([sub, cli.run([sub, path], stdout=io.StringIO())])
+"""
+
+
+def test_numpy_is_loaded_only_by_lattice_scans():
+    runs = [(sub, fixture(name)) for sub, name in NUMPY_FREE]
+    runs.append(("toric-h1", fixture("tnc.json")))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    stages = [json.loads(line) for line in proc.stdout.splitlines()]
+    expected = [["import locvol", False], ["import locvol.cli", False]]
+    expected += [[[sub, 0], False] for sub, _ in NUMPY_FREE]
+    expected.append([["toric-h1", 0], True])  # the probe can see numpy
+    assert stages == expected
+
+
 def test_packaged_schema_matches_published_copy():
     from importlib import resources
 

@@ -57,6 +57,18 @@ def test_piecewise_quadratic_breakpoint_evaluation():
     assert pp.is_nonincreasing()
 
 
+def test_monotonicity_is_exact_past_quadratic_derivatives():
+    # f' = t(t - 1/4)(t - 1/2)(t - 3/4)(t - 1) vanishes at every dyadic
+    # probe, yet f(1/8) > f(0)
+    pp = PiecewisePoly([0, 1], [(0, 0, F(3, 64), F(-25, 96), F(35, 64),
+                                 F(-1, 2), F(1, 6))])
+    assert pp(F(1, 8)) == F(539, 1572864) > pp(0)
+    assert not pp.is_nonincreasing()
+    # f' = -(t - 1/2)^2 touches zero without changing sign
+    assert PiecewisePoly([0, 1], [(F(1, 12), F(-1, 4), F(1, 2), F(-1, 3))]) \
+        .is_nonincreasing()
+
+
 # -- volume functions ---------------------------------------------------------
 
 def test_curve_volume_function_is_linear_degree():
