@@ -123,9 +123,16 @@ def _record(problem, value, provenance, sequences=None, verdict=None):
 
 # -- payload builders ---------------------------------------------------------
 
-def _build_divisor(payload) -> ToricDivisor:
+def _build_datum(payload) -> ToricDatum:
     cone = PointedCone(payload["cone"]["generators"])
-    datum = ToricDatum(cone, payload["rays"])
+    try:
+        return ToricDatum(cone, payload["rays"])
+    except ValueError as exc:  # a zero, missing or repeated ray: not a fan
+        raise ValidationFailure(str(exc))
+
+
+def _build_divisor(payload) -> ToricDivisor:
+    datum = _build_datum(payload)
     coeffs = tuple(_fraction(c) for c in payload["coeffs"])
     if len(coeffs) != len(datum.rays):
         raise ValidationFailure("coeffs length must match rays length")
@@ -264,8 +271,7 @@ def _run_fujita_check(problem, opts):
 
 def _run_convexity_check(problem, opts):
     payload = problem["payload"]
-    cone = PointedCone(payload["cone"]["generators"])
-    datum = ToricDatum(cone, payload["rays"])
+    datum = _build_datum(payload)
     d_a = ToricDivisor(datum, tuple(_fraction(c) for c in payload["coeffs_a"]))
     d_b = ToricDivisor(datum, tuple(_fraction(c) for c in payload["coeffs_b"]))
     if datum.dim != 3:

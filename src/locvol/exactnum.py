@@ -118,9 +118,6 @@ class QuadraticNumber:
             raise ValueError(f"{self} is irrational")
         return self.a
 
-    def conjugate(self) -> "QuadraticNumber":
-        return QuadraticNumber(self.a, -self.b, self.c)
-
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(c)."""
         a, b, c = self.a, self.b, self.c

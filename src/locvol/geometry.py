@@ -337,9 +337,6 @@ class Polyhedron:
     def contains(self, point) -> bool:
         return all(h.holds(point) for h in self.halfspaces)
 
-    def contains_strictly(self, point) -> bool:
-        return all(dot(h.normal, point) > h.offset for h in self.halfspaces)
-
     def scaled(self, m) -> "Polyhedron":
         """Dilation m*P for rational m > 0."""
         m = Fraction(m)

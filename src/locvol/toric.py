@@ -96,6 +96,9 @@ class ToricDatum:
         rays = tuple(primitive(tuple(int(x) for x in r)) for r in refinement_rays)
         if any(not any(r) for r in rays):
             raise ValueError("zero refinement ray")
+        if len(set(rays)) != len(rays):
+            raise ValueError("refinement rays must be distinct after making "
+                             "them primitive")
         kinds = tuple(cone.classify(r) for r in rays)
         missing = set(cone.extreme_rays) - set(rays)
         if missing:

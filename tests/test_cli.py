@@ -161,6 +161,31 @@ def test_exit_2_on_missing_file():
     assert json.loads(out)["error"]["code"] == "validation"
 
 
+def test_exit_2_on_repeated_ray(tmp_path, result_validator):
+    # (2, 2) is the ray (1, 1) once made primitive
+    for rays in ([[1, 0], [0, 1], [1, 1], [1, 1]], [[1, 0], [0, 1], [1, 1], [2, 2]]):
+        path = write_problem(tmp_path, {
+            "kind": "toric",
+            "payload": {"cone": {"generators": [[1, 0], [0, 1]]},
+                        "rays": rays, "coeffs": [0, 0, -1, -1]},
+        })
+        code, out, _ = invoke("toric-volume", path)
+        assert code == 2, out
+        err = json.loads(out)
+        assert err["error"]["code"] == "validation"
+        result_validator.validate(err)
+
+
+def test_principal_monomial_ideal_is_saturated(tmp_path):
+    path = write_problem(tmp_path, {"kind": "monomial",
+                                    "payload": {"generators": [[3, 1]]}})
+    code, out, _ = invoke("monomial-mult", path)
+    assert code == 0, out
+    record = json.loads(out)
+    assert record["exact_value"] == {"rational": "0/1"}
+    assert [row[1] for row in record["sequences"]["rows"]] == [0] * 8
+
+
 def test_exit_3_on_computational_error(tmp_path, result_validator):
     path = write_problem(tmp_path, {
         "kind": "surface",
@@ -221,6 +246,22 @@ def test_huge_lattice_scan_ends_with_a_record(tmp_path, result_validator):
             assert record["error"]["name"] == "LatticeBudget"
 
 
+def test_huge_monomial_prefix_grid_ends_with_a_record(tmp_path, result_validator):
+    # 2^24 + 1 prefixes, one past the fibre budget
+    path = write_problem(tmp_path, {"kind": "monomial",
+                                    "payload": {"generators": [[1 << 24, 0], [0, 1]]}})
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "locvol.cli", "monomial-mult", path, "--p-max", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    record = json.loads(proc.stdout)
+    result_validator.validate(record)
+    assert record["error"]["name"] == "LatticeBudget"
+
+
 def test_sequence_length_below_one_is_invalid():
     for argv in (("fujita-check", fixture("tnc_fujita.json"), "--p-max", "-1"),
                  ("monomial-mult", fixture("mon_x3xy3.json"), "--p-max", "0"),
@@ -254,7 +295,8 @@ def test_overlong_sequence_ends_with_a_record(tmp_path, result_validator):
 NUMPY_FREE = [("toric-volume", "tnc.json"), ("surface-volume", "a1.json"),
               ("cone-volume", "abelian_cover.json"), ("cone-gamma", "pspace.json"),
               ("bdff-volume", "p1xC.json"), ("lambda-seq", "pspace.json"),
-              ("convexity-check", "tnc_convexity.json")]
+              ("convexity-check", "tnc_convexity.json"),
+              ("monomial-mult", "mon_x3xy3.json")]
 
 # prints, after each stage, the stage and whether numpy is loaded
 NUMPY_PROBE = """

@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from locvol.geometry import FIBRE_LIMIT, LatticeBudget
 from locvol.monomial import (
-    BoxOverflow,
     GeneratorBlowup,
     MonomialIdeal,
     UnsupportedAmbient,
+    _orthant_transform,
+    _staircase_mask,
     asymptotic_multiplicity,
     h1_dim,
     multiplicity_sequence,
@@ -30,6 +34,23 @@ def brute_h1(I, box=12):
         for pt in product(range(box), repeat=I.dim)
         if sat.contains_exponent(pt) and not I.contains_exponent(pt)
     )
+
+
+def dense_h1(I):
+    """Reference: staircase masks over a box that doubles until nothing
+    counted touches its outer faces."""
+    if I.ambient is not None:
+        I = _orthant_transform(I)[0]
+    sat = saturation(I)
+    box = max(x for g in I.generators + sat.generators for x in g)
+    while True:
+        pts = np.stack(np.meshgrid(*[np.arange(box + 1)] * I.dim, indexing="ij"),
+                       axis=-1).reshape(-1, I.dim)
+        gap = _staircase_mask(pts, sat.generators) & ~_staircase_mask(
+            pts, I.generators)
+        if not gap.any() or pts[gap].max() < box:
+            return int(gap.sum())
+        box *= 2
 
 
 def test_minimalization_and_equality():
@@ -69,6 +90,8 @@ def test_h1_dim_examples():
     assert h1_dim(power(ideal((1, 0), (0, 1)), 3)) == 6
     assert h1_dim(ideal((2, 5))) == 0
     assert h1_dim(ideal((3, 0), (1, 3))) == brute_h1(ideal((3, 0), (1, 3)))
+    # x^3 (x, y^4) is not m-primary: its saturation is (x^3)
+    assert h1_dim(ideal((4, 0), (3, 4))) == 4
 
 
 def test_h1_zero_iff_saturated():
@@ -138,7 +161,43 @@ def test_cone_ambient_membership_validation():
         MonomialIdeal([(0, 1)], ambient=skew)
 
 
-def test_box_overflow_guard():
+def test_h1_dim_needs_no_enumeration_box():
+    # saturated to (1), so h1 is the colength 1 + 2 * 9999 of a 10^8-point box
     huge = MonomialIdeal([(10 ** 4, 0), (0, 10 ** 4), (1, 1)])
-    with pytest.raises(BoxOverflow):
-        h1_dim(huge)
+    assert h1_dim(huge) == 19999
+
+
+def test_h1_dim_prefix_grid_budget():
+    wide = MonomialIdeal([(FIBRE_LIMIT, 0), (0, 1)])
+    with pytest.raises(LatticeBudget):
+        h1_dim(wide)
+
+
+def _random_ideal(rng, n, ambient=None):
+    top = 4 if n < 4 else 3
+    gens = [[rng.randint(0, top) for _ in range(n)]
+            for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.7:  # pure powers make it m-primary
+        gens += [[rng.randint(1, top) if j == i else 0 for j in range(n)]
+                 for i in range(n)]
+    if ambient is not None:
+        rays = ambient.extreme_rays
+        gens = [[sum(r[i] * c for r, c in zip(rays, g)) for i in range(n)]
+                for g in gens]
+    return MonomialIdeal(gens, ambient)
+
+
+def test_h1_dim_matches_dense_staircase_count():
+    rng = random.Random(11)
+    cones = [PointedCone([(1, 0), (1, 1)]),
+             PointedCone([(1, 0, 0), (1, 1, 0), (0, 1, 1)])]
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        I = _random_ideal(rng, n)
+        if n < 4 and rng.random() < 0.4:
+            I = power(I, rng.randint(2, 3))
+        assert h1_dim(I) == dense_h1(I), I
+    for cone in cones:
+        for _ in range(15):
+            I = _random_ideal(rng, cone.dim, cone)
+            assert h1_dim(I) == dense_h1(I), I

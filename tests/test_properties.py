@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from locvol.monomial import MonomialIdeal, h1_dim, power, saturation
 from locvol.surface import (
     DualGraph,
     NotNegativeDefinite,
+    divisor_local_volume,
     log_canonical_intersections,
     singularity_volume,
     zariski_decompose,
@@ -230,3 +232,37 @@ def test_singularity_volume_nonnegative_randomized():
         parts = zariski_decompose(g, log_canonical_intersections(g))
         if all(x == 0 for x in parts.nef):
             assert v == 0
+
+
+# -- toric surfaces against their Hirzebruch-Jung dual graphs ------------------
+
+def _hirzebruch_jung(n, q):
+    """[b_1..b_k] with n/q = b_1 - 1/(b_2 - ... - 1/b_k)."""
+    out = []
+    while q:
+        b = -(-n // q)
+        out.append(b)
+        n, q = q, b * q - n
+    return out
+
+
+def test_cyclic_quotients_agree_with_chain_graphs():
+    # 1/n(1,q): cone <(0,1), (n,-q)>, smooth refinement v_0..v_{k+1} with
+    # v_{i-1} + v_{i+1} = b_i v_i; a toric divisor sum a_i D_i meets the
+    # exceptional curve of v_i in a_{i-1} + a_{i+1} - b_i a_i
+    rng = random.Random(6)
+    for n in range(2, 12):
+        for q in (q for q in range(1, n) if gcd(n, q) == 1):
+            bs = _hirzebruch_jung(n, q)
+            rays = [(0, 1), (1, 0)]
+            for b in bs:
+                rays.append(tuple(b * x - y for x, y in zip(rays[-1], rays[-2])))
+            assert rays[-1] == (n, -q)
+            datum = ToricDatum(PointedCone([(0, 1), (n, -q)]), rays)
+            chain = DualGraph([(-b, 0) for b in bs],
+                              [(i, i + 1, 1) for i in range(len(bs) - 1)])
+            for _ in range(3):
+                a = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rays]
+                target = [a[i - 1] + a[i + 1] - b * a[i] for i, b in enumerate(bs, 1)]
+                assert local_volume_toric(ToricDivisor(datum, a)) == \
+                    divisor_local_volume(chain, target), (n, q, a)

@@ -13,3 +13,30 @@ def test_no_assert_guards_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def _import_time_nodes(tree):
+    """Nodes that run when the module is imported: all but function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_numpy_is_not_imported_at_module_level():
+    # importing locvol must not load numpy; only lattice scans import it
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in _import_time_nodes(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
