@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 invalid input, 3 computational failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -123,22 +124,29 @@ def _record(problem, value, provenance, sequences=None, verdict=None):
 
 # -- payload builders ---------------------------------------------------------
 
+def _builder(build):
+    """A ValueError raised while building a payload's objects is invalid
+    input (exit 2); errors of the computation itself keep exit 3."""
+    @functools.wraps(build)
+    def checked(*args):
+        try:
+            return build(*args)
+        except ValueError as exc:
+            raise ValidationFailure(str(exc)) from exc
+    return checked
+
+
+@_builder
 def _build_datum(payload) -> ToricDatum:
-    cone = PointedCone(payload["cone"]["generators"])
-    try:
-        return ToricDatum(cone, payload["rays"])
-    except ValueError as exc:  # a zero, missing or repeated ray: not a fan
-        raise ValidationFailure(str(exc))
+    return ToricDatum(PointedCone(payload["cone"]["generators"]), payload["rays"])
 
 
-def _build_divisor(payload) -> ToricDivisor:
-    datum = _build_datum(payload)
-    coeffs = tuple(_fraction(c) for c in payload["coeffs"])
-    if len(coeffs) != len(datum.rays):
-        raise ValidationFailure("coeffs length must match rays length")
-    return ToricDivisor(datum, coeffs)
+@_builder
+def _build_divisor(datum, coeffs) -> ToricDivisor:
+    return ToricDivisor(datum, tuple(_fraction(c) for c in coeffs))
 
 
+@_builder
 def _build_ideal(payload) -> MonomialIdeal:
     ambient = None
     if "ambient_cone" in payload:
@@ -146,6 +154,7 @@ def _build_ideal(payload) -> MonomialIdeal:
     return MonomialIdeal(payload["generators"], ambient=ambient)
 
 
+@_builder
 def _build_graph(payload) -> DualGraph:
     verts = [(v["self_int"], v.get("genus", 0)) for v in payload["vertices"]]
     edges = [(e["i"], e["j"], e.get("multiplicity", 1))
@@ -153,6 +162,7 @@ def _build_graph(payload) -> DualGraph:
     return DualGraph(verts, edges)
 
 
+@_builder
 def _build_model(payload):
     model = payload["model"]
     kind = model["type"]
@@ -181,13 +191,17 @@ def _build_model(payload):
 
 # -- subcommand implementations -----------------------------------------------
 
+def _toric_divisor(payload) -> ToricDivisor:
+    return _build_divisor(_build_datum(payload), payload["coeffs"])
+
+
 def _run_toric_volume(problem, opts):
-    d = _build_divisor(problem["payload"])
+    d = _toric_divisor(problem["payload"])
     return _record(problem, local_volume_toric(d), "toric.local_volume")
 
 
 def _run_toric_h1(problem, opts):
-    d = _build_divisor(problem["payload"])
+    d = _toric_divisor(problem["payload"])
     seq = h1_sequence(d, opts["m_max"])
     rows = [[m, c, _cell(norm)] for m, c, norm in seq]
     return _record(
@@ -211,6 +225,8 @@ def _run_surface_volume(problem, opts):
     graph = _build_graph(problem["payload"])
     if "divisor" in problem["payload"]:
         d = [_fraction(x) for x in problem["payload"]["divisor"]]
+        if len(d) != graph.rank:
+            raise ValidationFailure("divisor length must match the vertex count")
         value = divisor_local_volume(graph, d)
         return _record(problem, value, "surface.divisor_local_volume")
     return _record(problem, singularity_volume(graph), "surface.singularity_volume")
@@ -251,7 +267,7 @@ def _run_lambda_seq(problem, opts):
 
 
 def _run_fujita_check(problem, opts):
-    d = _build_divisor(problem["payload"])
+    d = _toric_divisor(problem["payload"])
     value = local_volume_toric(d)
     seq = fujita_sequence(d, opts["p_max"])
     rows = [[p, _cell(mult), _cell(norm)] for p, mult, norm in seq]
@@ -272,8 +288,8 @@ def _run_fujita_check(problem, opts):
 def _run_convexity_check(problem, opts):
     payload = problem["payload"]
     datum = _build_datum(payload)
-    d_a = ToricDivisor(datum, tuple(_fraction(c) for c in payload["coeffs_a"]))
-    d_b = ToricDivisor(datum, tuple(_fraction(c) for c in payload["coeffs_b"]))
+    d_a = _build_divisor(datum, payload["coeffs_a"])
+    d_b = _build_divisor(datum, payload["coeffs_b"])
     if datum.dim != 3:
         raise ValidationFailure("convexity certification is implemented for "
                                 "three-dimensional cones")

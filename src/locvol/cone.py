@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .exactnum import FieldMismatch, QuadraticNumber, solve_quadratic
-from .linprog import solve_lp
 from .surface import InvalidModel, SurfaceLattice, lattice_zariski
 from .geometry import solve_linear
 
@@ -374,17 +373,7 @@ def _lattice_volume_function(model: LatticeModel, k, h):
 
 def _polyhedral_psef_reach(lat: SurfaceLattice, a_vec, h_vec):
     """max{t : a - t*h in the generated psef cone} by exact LP."""
-    gens = lat.psef_generators
-    kgen = len(gens)
-    rows = []
-    for coord in range(lat.rank):
-        coeffs = (Fraction(-h_vec[coord]),) + tuple(-g[coord] for g in gens)
-        rows.append((coeffs, -a_vec[coord]))
-        rows.append((tuple(-c for c in coeffs), a_vec[coord]))
-    for i in range(kgen):
-        unit = (0,) + tuple(1 if j == i else 0 for j in range(kgen))
-        rows.append((unit, Fraction(0)))
-    res = solve_lp((1,) + (0,) * kgen, rows, "max")
+    res = lat.psef_lp(a_vec, tuple(-x for x in h_vec), "max")
     if res.status == "infeasible":
         return None
     if res.status == "unbounded":
@@ -515,17 +504,7 @@ def psef_threshold_anticanonical(model):
                 c0=lat.pair(mk, mk), c1=2 * lat.pair(mk, hv), c2=lat.pair(hv, hv),
                 l0=lat.pair(mk, lat.ample), l1=lat.pair(hv, lat.ample),
             )
-        gens = lat.psef_generators
-        kgen = len(gens)
-        rows = []
-        for coord in range(lat.rank):
-            coeffs = (Fraction(hv[coord]),) + tuple(-g[coord] for g in gens)
-            rows.append((coeffs, -mk[coord]))
-            rows.append((tuple(-c for c in coeffs), mk[coord]))
-        for i in range(kgen):
-            unit = (0,) + tuple(1 if j == i else 0 for j in range(kgen))
-            rows.append((unit, Fraction(0)))
-        res = solve_lp((1,) + (0,) * kgen, rows, "min")
+        res = lat.psef_lp(mk, hv, "min")
         if not res.is_optimal:
             raise InvalidModel("anticanonical threshold has no finite value")
         return res.value

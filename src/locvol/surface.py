@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import solve_linear
-from .linprog import solve_lp
+from .linprog import INFEASIBLE, LPResult, solve_lp
 
 
 class SurfaceError(Exception):
@@ -273,15 +273,26 @@ class SurfaceLattice:
         d = tuple(Fraction(x) for x in d)
         if self.is_round_model:
             return self.pair(d, d) >= 0 and self.pair(d, self.ample) >= 0
+        return self.psef_lp(d, (0,) * self.rank).status != INFEASIBLE
+
+    def psef_lp(self, a, h, sense: str = "max") -> LPResult:
+        """Optimize t subject to a + t*h in the cone of `psef_generators`.
+
+        The variables are t and a non-negative weight per generator.  With
+        h = 0 the LP is unbounded when a is pseudo-effective and infeasible
+        when it is not.
+        """
+        gens = self.psef_generators
+        k = len(gens)
         rows = []
-        k = len(self.psef_generators)
         for coord in range(self.rank):
-            coeffs = tuple(g[coord] for g in self.psef_generators)
-            rows.append((coeffs, d[coord]))
-            rows.append((tuple(-c for c in coeffs), -d[coord]))
+            coeffs = (Fraction(h[coord]),) + tuple(-g[coord] for g in gens)
+            rows.append((coeffs, -Fraction(a[coord])))
+            rows.append((tuple(-c for c in coeffs), Fraction(a[coord])))
         for i in range(k):
-            rows.append((tuple(1 if j == i else 0 for j in range(k)), Fraction(0)))
-        return solve_lp([0] * k, rows).is_optimal
+            unit = (0,) + tuple(1 if j == i else 0 for j in range(k))
+            rows.append((unit, Fraction(0)))
+        return solve_lp((1,) + (0,) * k, rows, sense)
 
 
 def lattice_zariski(lattice: SurfaceLattice, d):

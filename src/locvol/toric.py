@@ -8,6 +8,8 @@ the larger region of sections defined away from the fiber over the torus
 fixed point, which drops the constraints of rays interior to the cone.  The
 local volume is the normalized Euclidean volume of their difference, and
 finite-level data comes from counting lattice points in the scaled regions.
+The Fujita check instead takes the integer hull of each scaled section
+region; one enumeration below Meyer's cap makes that hull exact.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ class ToricError(Exception):
 
 
 class NotInCone(ToricError):
-    pass
-
-
-class HullUnstable(ToricError):
     pass
 
 
@@ -218,36 +216,24 @@ def _minimal_generators(points, sigma_gens, w):
 
 
 def stable_newton_region(region: Polyhedron, cone: PointedCone) -> Polyhedron:
-    """Convex hull of the region's lattice points plus the dual cone.
+    """Integer hull conv(region ∩ Z^n) + σ^∨ of a region with recession cone σ^∨.
 
-    Lattice points are enumerated inside a cap; the cap doubles until the
-    hull is unchanged by further enlargement (idempotence certificate).
+    Write the region as Q + cone(y), with Q the hull of its vertices and y
+    the dual rays `cone.facets`, which are primitive integer vectors.  By
+    Meyer's theorem (Meyer 1974; Schrijver, *Theory of Linear and Integer
+    Programming*, §16.2) the integer hull is conv((Q + Π) ∩ Z^n) + cone(y),
+    where Π = {Σ μ_i y_i : 0 <= μ_i <= 1}.  A functional w positive on every
+    y_i is at most max_v w(v) + Σ_i w(y_i) on Q + Π, so the lattice points of
+    the region below that cap, less those that dominate another modulo σ^∨,
+    together with the dual rays generate the hull exactly.
     """
     dual_rays = list(cone.facets)
-    sigma_gens = cone.generators
-    dim = cone.dim
-    w = positive_functional(dual_rays, dim)
-    cap0 = max(
-        (dot(w, v).__ceil__() for v in region.vrep().vertices), default=0
-    ) + 1
-
-    def hull_at(c):
-        capped = region.intersect(Halfspace(tuple(-x for x in w), Fraction(-c)))
-        pts = lattice_points(capped)
-        if not pts:
-            return None
-        gens = _minimal_generators(pts, sigma_gens, w)
-        return hull_polyhedron(dim, gens, dual_rays)
-
-    cap = cap0
-    current = hull_at(cap)
-    for _ in range(3):
-        cap *= 2
-        bigger = hull_at(cap)
-        if current is not None and bigger is not None and current.same_set(bigger):
-            return current
-        current = bigger
-    raise HullUnstable("lattice hull did not stabilize after 3 cap doublings")
+    w = positive_functional(dual_rays, cone.dim)
+    top = max(dot(w, v) for v in region.vrep().vertices).__ceil__()
+    cap = top + sum(dot(w, y) for y in dual_rays)
+    capped = region.intersect(Halfspace(tuple(-x for x in w), Fraction(-cap)))
+    gens = _minimal_generators(lattice_points(capped), cone.generators, w)
+    return hull_polyhedron(cone.dim, gens, dual_rays)
 
 
 def saturate_region(region: Polyhedron, cone: PointedCone) -> Polyhedron:
@@ -262,9 +248,10 @@ def saturate_region(region: Polyhedron, cone: PointedCone) -> Polyhedron:
 def fujita_sequence(d: ToricDivisor, p_max: int):
     """Normalized multiplicities of the pushforward ideals at levels 1..p_max.
 
-    Each level builds the Newton region of the level's sections, saturates
-    it by sliding, and takes the n!-normalized volume of the difference;
-    the sequence approaches the local volume of the divisor.
+    Each level takes the Newton region (integer hull) of the level's
+    sections, saturates it by sliding, and takes the n!-normalized volume
+    of the difference; the sequence approaches the local volume of the
+    divisor.
     """
     datum = d.datum
     n = datum.dim

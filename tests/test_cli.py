@@ -186,6 +186,40 @@ def test_principal_monomial_ideal_is_saturated(tmp_path):
     assert [row[1] for row in record["sequences"]["rows"]] == [0] * 8
 
 
+INVALID_PAYLOADS = {
+    "ragged-exponents": ("monomial-mult", {
+        "kind": "monomial", "payload": {"generators": [[1, 0], [0, 1, 2]]}}),
+    "outside-ambient": ("monomial-mult", {
+        "kind": "monomial",
+        "payload": {"generators": [[0, 1]],
+                    "ambient_cone": {"generators": [[1, 0], [1, 2]]}}}),
+    "bad-edge": ("surface-volume", {
+        "kind": "surface",
+        "payload": {"vertices": [{"self_int": -2}], "edges": [{"i": 0, "j": 3}]}}),
+    "long-divisor": ("surface-volume", {
+        "kind": "surface",
+        "payload": {"vertices": [{"self_int": -2}], "divisor": [1, 2]}}),
+    "flat-cone": ("toric-volume", {
+        "kind": "toric",
+        "payload": {"cone": {"generators": [[1, 0, 0], [0, 1, 0]]},
+                    "rays": [[1, 0, 0], [0, 1, 0]], "coeffs": [0, 0]}}),
+    "complex-threshold": ("cone-volume", {
+        "kind": "cone",
+        "payload": {"model": {"type": "abelian_cover", "base_sq": 1, "mixed": 1,
+                              "pol_sq": 4}}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_PAYLOADS))
+def test_exit_2_when_payload_objects_cannot_be_built(tmp_path, result_validator, case):
+    sub, problem = INVALID_PAYLOADS[case]
+    code, out, _ = invoke(sub, write_problem(tmp_path, problem))
+    assert code == 2, out
+    err = json.loads(out)
+    assert err["error"]["code"] == "validation"
+    result_validator.validate(err)
+
+
 def test_exit_3_on_computational_error(tmp_path, result_validator):
     path = write_problem(tmp_path, {
         "kind": "surface",
@@ -260,6 +294,35 @@ def test_huge_monomial_prefix_grid_ends_with_a_record(tmp_path, result_validator
     record = json.loads(proc.stdout)
     result_validator.validate(record)
     assert record["error"]["name"] == "LatticeBudget"
+
+
+FUJITA_REGRESSIONS = {
+    # caps 2 and 4 of a doubling search gave the same hull, short of points
+    "missed-points": ({"cone": {"generators": [[-1, 0, 2], [1, -2, 0], [-1, -1, -2]]},
+                       "rays": [[-1, -1, -2], [-1, 0, 2], [1, -2, 0], [-1, -3, 0]],
+                       "coeffs": [1, 3, -3, -1]},
+                      ["p,mult,normalized", "1,13/5,13/5", "2,64/5,8/5"]),
+    # a doubling search never saw two equal hulls
+    "never-stable": ({"cone": {"generators": [[2, 2, 1], [2, -1, -2], [1, 2, 0]]},
+                      "rays": [[1, 2, 0], [2, -1, -2], [2, 2, 1], [5, 3, -1]],
+                      "coeffs": [1, -1, -2, -1]},
+                     ["p,mult,normalized", "1,17/3,17/3", "2,2/1,1/4"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUJITA_REGRESSIONS))
+def test_fujita_hulls_are_exact(tmp_path, case):
+    payload, expected = FUJITA_REGRESSIONS[case]
+    path = write_problem(tmp_path, {"kind": "fujita", "payload": payload,
+                                    "options": {"p_max": 2}})
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "locvol.cli", "fujita-check", path, "--output", "csv"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines() == expected
 
 
 def test_sequence_length_below_one_is_invalid():

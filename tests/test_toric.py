@@ -1,8 +1,19 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from locvol.exactnum import compare_cbrt_sum
+from locvol.geometry import (
+    Halfspace,
+    LatticeBudget,
+    dot,
+    hull_polyhedron,
+    lattice_points,
+    mat_rank,
+    positive_functional,
+    primitive,
+)
 from locvol.toric import (
     BOUNDARY,
     FACE_INTERIOR,
@@ -17,6 +28,8 @@ from locvol.toric import (
     fujita_sequence,
     h1_sequence,
     local_volume_toric,
+    stable_newton_region,
+    _minimal_generators,
 )
 
 
@@ -232,3 +245,63 @@ def test_fujita_and_h1_share_limit(tnc_datum):
     h1_tail = h1_sequence(d, 14)[-1][2]
     fuj_tail = fujita_sequence(d, 4)[-1][2]
     assert abs(fuj_tail - lim) <= abs(h1_tail - lim)
+
+
+def test_fujita_enumeration_shares_the_lattice_budget(octant_datum):
+    # Meyer's cap is 5003 here: a box of 5004^2 fibres, past FIBRE_LIMIT
+    d = ToricDivisor(octant_datum, (F(0), F(0), F(0), F(-5000)))
+    with pytest.raises(LatticeBudget):
+        fujita_sequence(d, 1)
+
+
+def _hull_below(region, cone, cap):
+    """Integer hull built as stable_newton_region does, at a chosen cap."""
+    rays = list(cone.facets)
+    w = positive_functional(rays, cone.dim)
+    capped = region.intersect(Halfspace(tuple(-x for x in w), F(-cap)))
+    gens = _minimal_generators(lattice_points(capped), cone.generators, w)
+    return hull_polyhedron(cone.dim, gens, rays)
+
+
+def _random_simplicial_divisor(rng):
+    while True:
+        gens = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3)]
+        if mat_rank(gens) == 3:
+            break
+    cone = PointedCone(gens)
+    gens = cone.extreme_rays
+    rays = list(gens)
+    while len(rays) < 5:
+        lam = [rng.randint(0, 2) for _ in range(3)]
+        r = primitive(tuple(sum(c * g[i] for c, g in zip(lam, gens)) for i in range(3)))
+        if any(r) and r not in rays:
+            rays.append(r)
+    coeffs = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rays)
+    return ToricDivisor(ToricDatum(cone, rays), coeffs)
+
+
+def test_meyer_hull_matches_larger_caps(tnc_datum):
+    """Oracle for Meyer's cap: no lattice point above it changes the hull."""
+    q4 = PointedCone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    q4_datum = ToricDatum(q4, list(q4.generators) + [
+        (1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1)])
+    divisors = [(tnc_divisor(tnc_datum, t), p)
+                for t, p in ((F(1, 2), 2), (1, 1), (F(3, 2), 2), (2, 1))]
+    divisors.append((ToricDivisor(q4_datum, (0, 0, 0, 0, -2, -2, -3, -3)), 1))
+    rng = random.Random(13)
+    divisors += [(_random_simplicial_divisor(rng), 1) for _ in range(24)]
+    nonpositive_tops = 0
+    for d, p in divisors:
+        cone = d.datum.cone
+        region = divisor_polyhedra(d)[0].scaled(p)
+        rays = list(cone.facets)
+        w = positive_functional(rays, cone.dim)
+        top = max(dot(w, v) for v in region.vrep().vertices).__ceil__()
+        width = sum(dot(w, y) for y in rays)
+        cap = top + width
+        nonpositive_tops += top <= 0
+        hull = stable_newton_region(region, cone)
+        # twice the cap, or one more width of Π when twice would not be larger
+        assert hull.same_set(_hull_below(region, cone, max(2 * cap, cap + width)))
+        assert hull.same_set(_hull_below(region, cone, 3 * abs(top) + 3 * width + 10))
+    assert nonpositive_tops >= 3
