@@ -26,7 +26,7 @@ from .monomial import MonomialError, MonomialIdeal, asymptotic_multiplicity, \
     multiplicity_sequence
 from .surface import DualGraph, SurfaceError, SurfaceLattice, \
     divisor_local_volume, singularity_volume
-from .toric import PointedCone, ToricDatum, ToricDivisor, ToricError, \
+from .toric import NotInCone, PointedCone, ToricDatum, ToricDivisor, ToricError, \
     fujita_sequence, h1_sequence, local_volume_toric
 from .cone import AbelianCover, ConeError, Curve, LatticeModel, ProjSpace, \
     bdff_cone_volume, cone_gamma_volume, cone_singularity_volume, \
@@ -138,7 +138,10 @@ def _builder(build):
 
 @_builder
 def _build_datum(payload) -> ToricDatum:
-    return ToricDatum(PointedCone(payload["cone"]["generators"]), payload["rays"])
+    try:
+        return ToricDatum(PointedCone(payload["cone"]["generators"]), payload["rays"])
+    except NotInCone as exc:  # a ray outside the cone is input, not a computation
+        raise ValidationFailure(str(exc)) from exc
 
 
 @_builder

@@ -7,26 +7,24 @@ with exact determinants; volumes and lattice-point counts of bounded
 differences of nested unbounded polyhedra are obtained by capping with a
 halfspace that is strictly positive on the common recession cone.
 
-Lattice points are found by one fibre scan.  A fibre is the line of box
-points sharing their first n-1 coordinates; the scan loops over those
-prefixes only, FIBRE_BLOCK at a time in int64 numpy, and turns each row
-into a bound on the last coordinate by exact floor division.  The points of
-a fibre satisfying a row set then form one interval, so a difference count
-is |O| - |O n I| per fibre and enumeration expands the intervals in
-lexicographic order.  Where an intermediate could reach 2**62 the same scan
-runs on Python ints.  A scan over more than FIBRE_LIMIT fibres, or an
-enumeration of more than FIBRE_LIMIT points, raises LatticeBudget before it
-allocates.
-
-numpy is imported inside the scan functions only, so importing this module,
-and every exact path that never counts lattice points (volumes, LPs,
-vertex and facet enumeration), runs without loading it.
+Lattice points are found by one slice scan on Python ints.  A slice fixes
+the first n-2 coordinates; in the plane left over, every row is a line
+bounding the last coordinate from below or above, or a bound on the other
+one.  The points of a slice lie between the least upper and the greatest
+lower line over an x-range given exactly by the pairs of lines, so a slice
+is counted by a few floor sums, each O(log) by Euclid's algorithm, and
+enumerated by evaluating the two envelopes at each x.  A difference count
+is N(O) - N(O and I).  A box of more than FIBRE_LIMIT fibres (lines along
+the last coordinate) raises LatticeBudget before any slice is visited, and
+an enumeration of more than POINT_LIMIT points raises it before any point
+is built.  numpy is never loaded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import factorial, gcd, ceil, floor, prod
 
 from .linprog import LPResult, solve_lp
@@ -659,15 +657,15 @@ def volume_of_difference(inner: Polyhedron, outer: Polyhedron) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# lattice points: the fibre scan
+# lattice points: 2-dim slices
 # ---------------------------------------------------------------------------
 
-FIBRE_LIMIT = 1 << 24   # fibres one scan may visit; points one enumeration may return
-FIBRE_BLOCK = 1 << 12   # fibres per vectorised block
+FIBRE_LIMIT = 1 << 24   # fibres (lines along the last coordinate) one box may span
+POINT_LIMIT = 1 << 20   # points one enumeration may return
 
 
 class LatticeBudget(GeometryError):
-    """A lattice scan or enumeration would exceed FIBRE_LIMIT."""
+    """A lattice scan would exceed FIBRE_LIMIT, or an enumeration POINT_LIMIT."""
 
 
 def _integer_constraints(p: Polyhedron, m=1):
@@ -695,49 +693,6 @@ def _lattice_box(box, m=1):
     return [ceil(m * x) for x in lo], [floor(m * x) for x in hi]
 
 
-def _scan_dtype(rows, lo, hi):
-    """int64 when no intermediate of the scan can reach 2**62, else exact ints."""
-    import numpy as np
-    extent = max(max(abs(l), abs(h)) for l, h in zip(lo, hi))
-    mag = max((sum(abs(x) for x in a) * extent + abs(b) for a, b in rows), default=0)
-    # a block's total is at most FIBRE_BLOCK fibres of 2*extent + 1 points
-    mag = max(mag, FIBRE_BLOCK * (2 * extent + 1))
-    return np.int64 if mag < 2 ** 62 else object
-
-
-def _split_rows(rows, dim, dtype):
-    """Rows a.x >= b grouped by the sign of their last coefficient c.
-
-    Each group is (prefix part of a, b, |c|) as arrays, for positive,
-    negative and zero c in that order.
-    """
-    import numpy as np
-    groups = []
-    for keep in (lambda c: c > 0, lambda c: c < 0, lambda c: c == 0):
-        sel = [(a, b) for a, b in rows if keep(a[-1])]
-        groups.append((
-            np.array([a[:-1] for a, _ in sel], dtype=dtype).reshape(len(sel), dim - 1),
-            np.array([b for _, b in sel], dtype=dtype),
-            np.array([abs(a[-1]) for a, _ in sel], dtype=dtype),
-        ))
-    return groups
-
-
-def _fibre_interval(groups, prefix, first, last):
-    """Narrow [first, last] on each fibre to the points satisfying every row."""
-    import numpy as np
-    (ap, bp, cp), (an, bn, cn), (az, bz, _) = groups
-    if len(bp):
-        # c*x_n >= b - a.p  <=>  x_n >= ceil((b - a.p)/c) = -floor((a.p - b)/c)
-        first = np.maximum(first, -((prefix @ ap.T - bp) // cp).min(axis=1))
-    if len(bn):
-        # -c*x_n >= b - a.p  <=>  x_n <= floor((a.p - b)/c)
-        last = np.minimum(last, ((prefix @ an.T - bn) // cn).min(axis=1))
-    if len(bz):
-        last = np.where((prefix @ az.T < bz).any(axis=1), first - 1, last)
-    return first, last
-
-
 def _fibre_count(lo, hi):
     """Number of fibres of the box [lo, hi]; LatticeBudget past FIBRE_LIMIT."""
     fibres = prod(max(0, h - l + 1) for l, h in zip(lo[:-1], hi[:-1]))
@@ -748,64 +703,168 @@ def _fibre_count(lo, hi):
     return fibres
 
 
-def _fibre_scan(row_sets, lo, hi):
-    """Fibre intervals of the box [lo, hi], FIBRE_BLOCK fibres at a time.
+def _floor_sum(n, m, a, b):
+    """Sum of floor((a*i + b)/m) over 0 <= i < n, for n >= 0 and m >= 1.
 
-    Yields (prefixes, intervals): the block's prefixes as rows, in
-    lexicographic order, and for each row set a pair of arrays (first, last)
-    such that a fibre's points satisfying every row of the set are exactly
-    those with first <= last coordinate <= last.
+    After a and b are reduced mod m the sum counts the lattice points under
+    a segment, and exchanging the axes leaves the same sum with (m, a)
+    replaced by (a, m): Euclid's algorithm, O(log m) steps on Python ints
+    (Graham, Knuth & Patashnik, Concrete Mathematics, section 3.5).
     """
-    import numpy as np
-    dim = len(lo)
-    fibres = _fibre_count(lo, hi)
-    if not fibres or hi[-1] < lo[-1]:
+    total = 0
+    while n:
+        q, a = divmod(a, m)
+        total += q * (n * (n - 1) // 2)
+        q, b = divmod(b, m)
+        total += q * n
+        top = a * n + b
+        if top < m:
+            break
+        n, b = divmod(top, m)
+        m, a = a, m
+    return total
+
+
+def _envelope_sum(lines, x0, x1):
+    """Sum over x0 <= x <= x1 of the least floor((a*x + c)/q) over the lines,
+    which come in order of falling slope a/q.
+
+    The least of the real lines is a concave envelope, and walking it from
+    x0 the slope only falls: the lowest line at x (the flattest of a tie)
+    stays lowest until a flatter line crosses it, so each piece of the
+    envelope is one floor sum.
+    """
+    total, first = 0, 0
+    while x0 <= x1:
+        j = first
+        a, c, q = lines[j]
+        for i in range(first + 1, len(lines)):
+            a2, c2, q2 = lines[i]
+            if (a2 * x0 + c2) * q <= (a * x0 + c) * q2:
+                j, a, c, q = i, a2, c2, q2
+        end = x1
+        for a2, c2, q2 in lines[j + 1:]:
+            s = a * q2 - a2 * q
+            if s > 0:  # (a*x + c)/q <= (a2*x + c2)/q2 while x*s <= c2*q - c*q2
+                end = min(end, (c2 * q - c * q2) // s)
+        total += _floor_sum(end - x0 + 1, q, a, a * x0 + c)
+        x0, first = end + 1, j + 1
+    return total
+
+
+def _envelope_at(lines, x):
+    return min((a * x + c) // q for a, c, q in lines)
+
+
+def _slices(rows, lo, hi):
+    """The rows a.x >= b on the box [lo, hi], cut into 2-dim slices.
+
+    A slice fixes the prefix p of the first n-2 coordinates and leaves
+    (x, y) = (x_{n-1}, x_n).  There a row reads alpha*x + beta*y >= r with
+    r = b - a'.p: for beta > 0 it is the lower line -y <= (alpha*x - r)/beta,
+    for beta < 0 the upper line y <= (alpha*x - r)/|beta|, and for beta = 0
+    a bound on x; the box adds y >= lo and y <= hi as lines.  The slice's
+    points are then -L(x) <= y <= U(x), where U and L are the least
+    floor((alpha*x - r)/|beta|) over the upper and the lower lines.  Each
+    pair of a lower and an upper line adds the bound on x under which the
+    two real lines do not cross (Fourier-Motzkin elimination of y); where
+    all such bounds hold, U + L + 1 >= 0, and where one fails, U + L + 1 <= 0.
+
+    Yields (p, x0, x1, upper, lower) for every prefix in lexicographic
+    order with a nonempty x-range [x0, x1]; a line is (alpha, -r, |beta|),
+    and each group comes in order of falling slope.  Dimension 1 is one
+    slice, x_1 being x and y a last coordinate pinned to 0.
+    """
+    rows = [(tuple(a), b) for a, b in rows]
+    if len(lo) == 1:
+        rows = [(a + (0,), b) for a, b in rows]
+        lo, hi = [lo[0], 0], [hi[0], 0]
+    k = len(lo) - 2
+    y_unit = (0,) * (k + 1)
+    rows = dict.fromkeys(rows + [(y_unit + (1,), lo[-1]), (y_unit + (-1,), -hi[-1])])
+    falling = lambda row: Fraction(-row[0][k], abs(row[0][-1]))
+    lower = sorted((r for r in rows if r[0][-1] > 0), key=falling)
+    upper = sorted((r for r in rows if r[0][-1] < 0), key=falling)
+    flat = [r for r in rows if not r[0][-1]]
+    for ai, bi in lower:
+        for aj, bj in upper:
+            qi, qj = ai[-1], -aj[-1]
+            flat.append((tuple(qj * u + qi * v for u, v in zip(ai, aj)), qj * bi + qi * bj))
+    flat = list(dict.fromkeys(flat))
+    bounds = [a[k] for a, _ in flat]
+    slopes = [(a[k], abs(a[-1])) for a, _ in upper + lower]
+    nf, nu = len(flat), len(upper)
+    for prefix, offsets in _prefix_offsets(flat + upper + lower, lo, hi, k):
+        x0, x1 = lo[k], hi[k]
+        for alpha, r in zip(bounds, offsets):
+            if alpha > 0:
+                x0 = max(x0, -(-r // alpha))
+            elif alpha < 0:
+                x1 = min(x1, r // alpha)
+            elif r > 0:
+                x1 = x0 - 1
+                break
+        if x0 <= x1:
+            lines = [(alpha, -r, q) for (alpha, q), r in zip(slopes, offsets[nf:])]
+            yield prefix, x0, x1, lines[:nu], lines[nu:]
+
+
+def _prefix_offsets(forms, lo, hi, k):
+    """(p, [b - a.p for each form (a, b)]) over the prefixes p of the box's
+    first k coordinates, in lexicographic order.  The last coordinate of p
+    moves innermost, so one subtraction per form takes each step.
+    """
+    if not k:
+        yield (), [b for _, b in forms]
         return
-    dtype = _scan_dtype([r for rows in row_sets for r in rows], lo, hi)
-    groups = [_split_rows(rows, dim, dtype) for rows in row_sets]
-    for start in range(0, fibres, FIBRE_BLOCK):
-        index = np.arange(start, min(start + FIBRE_BLOCK, fibres))
-        prefix = np.empty((len(index), dim - 1), dtype=dtype)
-        for k in reversed(range(dim - 1)):
-            index, digit = np.divmod(index, hi[k] - lo[k] + 1)
-            prefix[:, k] = digit.astype(dtype) + lo[k]
-        first = np.full(len(prefix), lo[-1], dtype=dtype)
-        last = np.full(len(prefix), hi[-1], dtype=dtype)
-        yield prefix, [_fibre_interval(g, prefix, first, last) for g in groups]
+    step = [a[k - 1] for a, _ in forms]
+    for head in product(*(range(lo[i], hi[i] + 1) for i in range(k - 1))):
+        offsets = [b - dot(a, head) - c * lo[k - 1] for (a, b), c in zip(forms, step)]
+        for v in range(lo[k - 1], hi[k - 1] + 1):
+            yield head + (v,), offsets
+            offsets = [r - c for r, c in zip(offsets, step)]
+
+
+def _count(rows, lo, hi):
+    """Integer points of the box [lo, hi] satisfying every row, exactly."""
+    return sum(_envelope_sum(upper, x0, x1) + _envelope_sum(lower, x0, x1) + x1 - x0 + 1
+               for _, x0, x1, upper, lower in _slices(rows, lo, hi))
 
 
 def count_lattice_points(outer_rows, inner_rows, lo, hi):
     """Integer points in the box satisfying outer but not inner, exactly.
 
-    Each fibre contributes |O| - |O n I| for its outer and inner intervals.
+    That is N(outer) - N(outer and inner), each N a sum over 2-dim slices.
     """
-    import numpy as np
-    total = 0
-    for _, [(o_first, o_last), (i_first, i_last)] in _fibre_scan(
-        [outer_rows, inner_rows], lo, hi
-    ):
-        both = np.minimum(o_last, i_last) - np.maximum(o_first, i_first) + 1
-        total += int((np.maximum(o_last - o_first + 1, 0) - np.maximum(both, 0)).sum())
-    return total
+    _fibre_count(lo, hi)
+    return _count(outer_rows, lo, hi) - _count(list(outer_rows) + list(inner_rows), lo, hi)
 
 
 def lattice_points(p: Polyhedron):
-    """All integer points of a bounded polyhedron, sorted, as int tuples."""
-    import numpy as np
+    """All integer points of a bounded polyhedron, sorted, as int tuples.
+
+    The points are counted first, so an enumeration past POINT_LIMIT raises
+    LatticeBudget before any is built.
+    """
     try:
         lo, hi = _lattice_box(_box_of(p))
     except EmptyPolyhedron:
         return []
+    rows = _integer_constraints(p)
+    _fibre_count(lo, hi)
+    total = _count(rows, lo, hi)
+    if total > POINT_LIMIT:
+        raise LatticeBudget(
+            f"enumeration needs {total} points; the limit is {POINT_LIMIT}"
+        )
     points = []
-    for prefix, [(first, last)] in _fibre_scan([_integer_constraints(p)], lo, hi):
-        width = np.maximum(last - first + 1, 0)
-        n = int(width.sum())
-        if len(points) + n > FIBRE_LIMIT:
-            raise LatticeBudget(f"enumeration exceeds the limit of {FIBRE_LIMIT} points")
-        width = width.astype(np.int64)
-        tail = np.repeat(first - (np.cumsum(width) - width), width) + np.arange(n)
-        block = np.column_stack([np.repeat(prefix, width, axis=0), tail])
-        points.extend(map(tuple, block.tolist()))
+    for prefix, x0, x1, upper, lower in _slices(rows, lo, hi):
+        for x in range(x0, x1 + 1):
+            head = prefix + (x,)
+            ys = range(-_envelope_at(lower, x), _envelope_at(upper, x) + 1)
+            points.extend(head + (y,) for y in ys)
+    if p.dim == 1:  # drop the last coordinate _slices pins to 0
+        return [pt[:1] for pt in points]
     return points
 
 

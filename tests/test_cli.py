@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from locvol.cli import run
+from locvol.cli import SUBCOMMANDS, run
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMAS = ROOT / "docs" / "schemas"
@@ -174,6 +174,23 @@ def test_exit_2_on_repeated_ray(tmp_path, result_validator):
         err = json.loads(out)
         assert err["error"]["code"] == "validation"
         result_validator.validate(err)
+
+
+def test_ray_outside_the_cone_is_invalid_input(tmp_path, result_validator):
+    path = write_problem(tmp_path, {
+        "kind": "toric",
+        "payload": {"cone": {"generators": [[1, 0], [0, 1]]},
+                    "rays": [[1, 0], [0, 1], [-1, 1]], "coeffs": [0, 0, 1]},
+    })
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "locvol.cli", "toric-volume", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stdout
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stdout)
+    result_validator.validate(err)
+    assert err["error"]["code"] == "validation"
+    assert "not in the cone" in err["error"]["message"]
 
 
 def test_principal_monomial_ideal_is_saturated(tmp_path):
@@ -355,11 +372,13 @@ def test_overlong_sequence_ends_with_a_record(tmp_path, result_validator):
         assert record["error"]["name"] == "SequenceBudget"
 
 
-NUMPY_FREE = [("toric-volume", "tnc.json"), ("surface-volume", "a1.json"),
-              ("cone-volume", "abelian_cover.json"), ("cone-gamma", "pspace.json"),
-              ("bdff-volume", "p1xC.json"), ("lambda-seq", "pspace.json"),
-              ("convexity-check", "tnc_convexity.json"),
-              ("monomial-mult", "mon_x3xy3.json")]
+# one fixture for each of the 10 subcommands
+SUBCOMMAND_FIXTURES = [("toric-volume", "tnc.json"), ("toric-h1", "tnc.json"),
+                       ("monomial-mult", "mon_x3xy3.json"), ("surface-volume", "a1.json"),
+                       ("cone-volume", "abelian_cover.json"), ("cone-gamma", "pspace.json"),
+                       ("bdff-volume", "p1xC.json"), ("lambda-seq", "pspace.json"),
+                       ("fujita-check", "tnc_fujita.json"),
+                       ("convexity-check", "tnc_convexity.json")]
 
 # prints, after each stage, the stage and whether numpy is loaded
 NUMPY_PROBE = """
@@ -372,20 +391,22 @@ from locvol import cli
 seen("import locvol.cli")
 for sub, path in json.loads(sys.argv[1]):
     seen([sub, cli.run([sub, path], stdout=io.StringIO())])
+import numpy
+seen("import numpy")
 """
 
 
-def test_numpy_is_loaded_only_by_lattice_scans():
-    runs = [(sub, fixture(name)) for sub, name in NUMPY_FREE]
-    runs.append(("toric-h1", fixture("tnc.json")))
+def test_no_subcommand_loads_numpy():
+    assert sorted(sub for sub, _ in SUBCOMMAND_FIXTURES) == sorted(SUBCOMMANDS)
+    runs = [(sub, fixture(name)) for sub, name in SUBCOMMAND_FIXTURES]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(runs)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     stages = [json.loads(line) for line in proc.stdout.splitlines()]
     expected = [["import locvol", False], ["import locvol.cli", False]]
-    expected += [[[sub, 0], False] for sub, _ in NUMPY_FREE]
-    expected.append([["toric-h1", 0], True])  # the probe can see numpy
+    expected += [[[sub, 0], False] for sub, _ in SUBCOMMAND_FIXTURES]
+    expected.append(["import numpy", True])  # the probe can see numpy
     assert stages == expected
 
 

@@ -313,13 +313,12 @@ def test_lattice_points_match_dense_scan(dim):
 
 
 def test_fibre_scan_at_2_62_takes_exact_integers():
-    from locvol.geometry import _scan_dtype, count_lattice_points, lattice_points
+    from locvol.geometry import count_lattice_points, lattice_points
 
     big = 2 ** 62 + 5
     # a small triangle translated to x = big: rows x >= big, y >= 0, x + y <= big + 3
     rows = [((1, 0), big), ((0, 1), 0), ((-1, -1), -(big + 3))]
     lo, hi = [big - 1, -1], [big + 4, 4]
-    assert _scan_dtype(rows, lo, hi) is object
     pts = lattice_points(poly(2, rows))
     assert pts == [(big + i, j) for i in range(4) for j in range(4 - i)]
     assert all(type(x) is int for pt in pts for x in pt)
@@ -336,6 +335,107 @@ def test_fibre_budget_is_checked_before_scanning():
     side = int(FIBRE_LIMIT ** 0.5) + 1
     with pytest.raises(LatticeBudget):
         count_lattice_points([((0, 0, 1), 0)], [], [0, 0, 0], [side, side, 1])
+
+
+def test_floor_sum_matches_naive_sum():
+    from locvol.geometry import _floor_sum
+
+    rng = random.Random(7)
+    for trial in range(600):
+        size = 2 ** 70 if trial % 3 == 0 else 50  # every third draw is past 2**62
+        n = rng.randint(0, 40)
+        m = rng.randint(1, size)
+        a, b = rng.randint(-size, size), rng.randint(-size, size)
+        assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def slice_rows(rng, dim, k):
+    """Integer rows drawn to hit every case of a slice: rows with a zero last
+    coefficient, rows zero in both slice coordinates, and hyperplanes (a row
+    and its negation), whose slices leave many x with no integer y."""
+    rows = []
+    for _ in range(k):
+        normal = [rng.randint(-5, 5) for _ in range(dim)]
+        case = rng.random()
+        if case < 0.25:
+            normal[-1] = 0
+        elif case < 0.4:
+            normal[-2:] = [0] * min(2, dim)
+        rows.append((tuple(normal), rng.randint(-12, 6)))
+        if case > 0.85:
+            rows.append((tuple(-x for x in normal), -rows[-1][1]))
+    return rows
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_slice_count_matches_dense_scan(dim):
+    from locvol.geometry import _count, _envelope_at, _slices, count_lattice_points
+
+    rng = random.Random(100 + dim)
+    # prefixes whose x-range is empty, and x inside an x-range with no point
+    # (no integer between the lower and the upper envelope) or with some
+    seen = {"empty x-range": 0, "empty fibre": 0, "fibre with points": 0}
+    for _ in range(150):
+        lo = [rng.randint(-5, 1) for _ in range(dim)]
+        hi = [l + rng.randint(-1, 6 - dim) for l in lo]
+        outer = slice_rows(rng, dim, rng.randint(0, 5))
+        inner = outer + slice_rows(rng, dim, rng.randint(1, 3))
+        assert _count(outer, lo, hi) == len(dense_points(outer, lo, hi))
+        assert count_lattice_points(outer, inner, lo, hi) == dense_count(outer, inner, lo, hi)
+        prefixes = 1
+        for l, h in zip(lo[:-2], hi[:-2]):
+            prefixes *= max(0, h - l + 1)
+        slices = list(_slices(outer, lo, hi))
+        seen["empty x-range"] += prefixes - len(slices)
+        for _, x0, x1, upper, lower in slices:
+            for x in range(x0, x1 + 1):
+                width = _envelope_at(upper, x) + _envelope_at(lower, x) + 1
+                assert width >= 0
+                seen["empty fibre" if width == 0 else "fibre with points"] += 1
+    if dim == 1:  # y is pinned to 0, so every x in the range is a point
+        del seen["empty fibre"]
+    assert all(seen.values()), seen
+
+
+def test_enumeration_is_counted_before_any_point_is_built():
+    import tracemalloc
+
+    from locvol.geometry import POINT_LIMIT, LatticeBudget, lattice_points
+
+    box = poly(2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -999), ((0, -1), -1048)])
+    assert 1000 * 1049 > POINT_LIMIT
+    box.vrep()
+    tracemalloc.start()
+    try:
+        with pytest.raises(LatticeBudget):
+            lattice_points(box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak  # the points alone would take some 250 MB
+
+
+@pytest.mark.parametrize("t", ["1/2", "1", "3/2", "2"])
+def test_tnc_h1_sequence_matches_pinned_counts(t):
+    import json
+    from math import comb
+    from pathlib import Path
+
+    from locvol.toric import PointedCone, ToricDatum, ToricDivisor, h1_sequence
+
+    pinned = json.loads((Path(__file__).resolve().parents[1] / "perfbench" /
+                         "pinned.json").read_text())["h1"]
+    cone = [(0, 1, 0), (0, 0, 1), (1, 0, -2)]
+    datum = ToricDatum(PointedCone(cone), cone + [(1, 1, 1), (1, 0, 0)])
+    d = ToricDivisor(datum, (0, 0, 2, -F(t), 0))
+    if t == "1":  # the unit-volume family has comb(m + 2, 3) points at level m
+        m_max, expected = 60, {m: comb(m + 2, 3) for m in range(1, 61)}
+    else:
+        expected = {int(m): c for m, c in pinned[t].items()}
+        m_max = max(expected)
+    seq = h1_sequence(d, m_max)
+    assert [m for m, _, _ in seq] == sorted(expected)
+    assert all(c == expected[m] for m, c, _ in seq)
 
 
 @pytest.mark.parametrize("family", ["tnc", "q4"])

@@ -27,7 +27,7 @@ def _import_time_nodes(tree):
 
 
 def test_numpy_is_not_imported_at_module_level():
-    # importing locvol must not load numpy; only lattice scans import it
+    # importing locvol must not load numpy
     found = []
     for path in sorted(SRC.rglob("*.py")):
         for node in _import_time_nodes(ast.parse(path.read_text(), str(path))):
@@ -40,3 +40,34 @@ def test_numpy_is_not_imported_at_module_level():
             if any(name.split(".")[0] == "numpy" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_benchmark_tracing_targets_resolve():
+    # perfbench/tracing.py rebinds these locvol names from outside; a name
+    # that no longer resolves turns its metrics null in the benchmark output
+    import importlib
+    import importlib.util
+
+    path = SRC.parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    targets = {f"{module}.{name}" for module, name, *_ in tracing.SPANS + tracing.COUNTERS}
+    targets |= {f"locvol.cli.{name}"
+                for name in ("_validate", "_emit_json", "_emit_csv", "_RUNNERS")}
+    targets |= {t for _, needs in tracing.METRICS.values() for t in needs}
+    missing = []
+    for target in sorted(targets):
+        module, _, name = target.rpartition(".")
+        if not hasattr(importlib.import_module(module), name):
+            missing.append(target)
+    assert not missing, missing
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.install_cli(importlib.import_module("locvol.cli"))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
