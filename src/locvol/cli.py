@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from fractions import Fraction
 from importlib import resources
-
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .exactnum import QuadraticNumber, compare_cbrt_sum, format_decimal
@@ -53,21 +52,138 @@ class ValidationFailure(Exception):
     pass
 
 
-def _load_schema():
+# -- problem-file validation --------------------------------------------------
+#
+# An in-tree validator for exactly the JSON Schema keywords that
+# problem.schema.json uses, with jsonschema's messages; loading a schema
+# that uses any other keyword raises SchemaError, so an edit to the schema
+# cannot silently skip a check.
+
+class SchemaError(Exception):
+    """A schema uses a keyword, or a form of one, that the validator lacks."""
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    # JSON integer literals only: 3.0 loads as a float, which the exact
+    # kernels cannot take, although JSON Schema counts it as an integer
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+}
+_ANNOTATIONS = {"$schema", "$id", "title"}
+_SUBSCHEMA = {"items", "if", "then"}
+_SUBSCHEMA_LISTS = {"allOf", "oneOf"}
+_SUBSCHEMA_MAPS = {"properties", "$defs"}
+_KEYWORDS = _ANNOTATIONS | _SUBSCHEMA | _SUBSCHEMA_LISTS | _SUBSCHEMA_MAPS | {
+    "type", "required", "additionalProperties", "$ref", "minItems", "minimum",
+    "maximum", "const", "enum", "pattern"}
+
+
+class ProblemSchema:
+    """A JSON Schema restricted to the keywords in _KEYWORDS."""
+
+    def __init__(self, schema):
+        self.defs = schema.get("$defs", {})
+        self.root = schema
+        self._check(schema)
+
+    def _check(self, schema):
+        if not isinstance(schema, dict):
+            raise SchemaError(f"a subschema must be an object, got {schema!r}")
+        unknown = sorted(set(schema) - _KEYWORDS)
+        if unknown:
+            raise SchemaError(f"unsupported schema keywords {unknown}")
+        types = schema.get("type", [])
+        for name in [types] if isinstance(types, str) else types:
+            if name not in _TYPES:
+                raise SchemaError(f"unsupported type {name!r}")
+        if schema.get("additionalProperties", False) is not False:
+            raise SchemaError("additionalProperties must be false")
+        ref = schema.get("$ref")
+        if ref is not None and (not ref.startswith("#/$defs/") or ref[8:] not in self.defs):
+            raise SchemaError(f"unresolvable $ref {ref!r}")
+        # Python equality is JSON equality on strings, not on 1 and true
+        values = list(schema.get("enum", ()))
+        if "const" in schema:
+            values.append(schema["const"])
+        if not all(isinstance(v, str) for v in values):
+            raise SchemaError("enum and const values must be strings")
+        subs = [schema[k] for k in _SUBSCHEMA if k in schema]
+        for key in _SUBSCHEMA_LISTS:
+            subs += schema.get(key, [])
+        for key in _SUBSCHEMA_MAPS:
+            subs += schema.get(key, {}).values()
+        for sub in subs:
+            self._check(sub)
+
+    def errors(self, x, schema=None):
+        """Yield a message for each way x fails the schema."""
+        s = self.root if schema is None else schema
+        if "$ref" in s:
+            yield from self.errors(x, self.defs[s["$ref"][8:]])
+        if "type" in s:
+            types = [s["type"]] if isinstance(s["type"], str) else s["type"]
+            if not any(_TYPES[name](x) for name in types):
+                yield f"{x!r} is not of type {', '.join(map(repr, types))}"
+        if "enum" in s and x not in s["enum"]:
+            yield f"{x!r} is not one of {s['enum']!r}"
+        if "const" in s and x != s["const"]:
+            yield f"{s['const']!r} was expected"
+        if "pattern" in s and isinstance(x, str) and not re.search(s["pattern"], x):
+            yield f"{x!r} does not match {s['pattern']!r}"
+        if isinstance(x, (int, float)) and not isinstance(x, bool):
+            if "minimum" in s and x < s["minimum"]:
+                yield f"{x!r} is less than the minimum of {s['minimum']!r}"
+            if "maximum" in s and x > s["maximum"]:
+                yield f"{x!r} is greater than the maximum of {s['maximum']!r}"
+        if isinstance(x, list):
+            if len(x) < s.get("minItems", 0):
+                short = "should be non-empty" if s["minItems"] == 1 else "is too short"
+                yield f"{x!r} {short}"
+            for item in x if "items" in s else ():
+                yield from self.errors(item, s["items"])
+        if isinstance(x, dict):
+            for name in s.get("required", ()):
+                if name not in x:
+                    yield f"{name!r} is a required property"
+            props = s.get("properties", {})
+            for name, sub in props.items():
+                if name in x:
+                    yield from self.errors(x[name], sub)
+            extras = sorted((k for k in x if k not in props), key=str)
+            if "additionalProperties" in s and extras:
+                verb = "was" if len(extras) == 1 else "were"
+                yield (f"Additional properties are not allowed "
+                       f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        if "if" in s and "then" in s and self.is_valid(x, s["if"]):
+            yield from self.errors(x, s["then"])
+        for sub in s.get("allOf", ()):
+            yield from self.errors(x, sub)
+        if "oneOf" in s:
+            valid = [sub for sub in s["oneOf"] if self.is_valid(x, sub)]
+            if not valid:
+                yield f"{x!r} is not valid under any of the given schemas"
+            elif len(valid) > 1:
+                reprs = ", ".join(map(repr, valid[1:] + valid[:1]))
+                yield f"{x!r} is valid under each of {reprs}"
+
+    def is_valid(self, x, schema=None):
+        return next(self.errors(x, schema), None) is None
+
+
+@functools.cache
+def _problem_schema() -> ProblemSchema:
     text = resources.files("locvol").joinpath("schemas/problem.schema.json").read_text()
-    return json.loads(text)
-
-
-_VALIDATOR = None
+    return ProblemSchema(json.loads(text))
 
 
 def _validate(problem):
-    global _VALIDATOR
-    if _VALIDATOR is None:
-        _VALIDATOR = Draft202012Validator(_load_schema())
-    errors = sorted(_VALIDATOR.iter_errors(problem), key=str)
-    if errors:
-        raise ValidationFailure(errors[0].message)
+    # of several errors, the least message, so the report is deterministic
+    message = min(_problem_schema().errors(problem), default=None)
+    if message is not None:
+        raise ValidationFailure(message)
 
 
 def _fraction(value) -> Fraction:
@@ -369,7 +485,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     try:
         with open(args.problem, "r", encoding="utf-8") as fh:
             problem = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, bad JSON, 4301+ digits
         _error("validation", type(exc).__name__, str(exc), stdout)
         return 2
 

@@ -193,6 +193,53 @@ def test_ray_outside_the_cone_is_invalid_input(tmp_path, result_validator):
     assert "not in the cone" in err["error"]["message"]
 
 
+INTEGRAL_FLOATS = {
+    # JSON Schema's integer admits 3.0; the exact kernels take only ints
+    "m_max": ("toric-h1", {
+        "kind": "toric",
+        "payload": {"cone": {"generators": [[1, 0], [0, 1]]},
+                    "rays": [[1, 0], [0, 1], [1, 1]], "coeffs": [0, 0, -1]},
+        "options": {"m_max": 3.0}}),
+    "self_int": ("surface-volume", {
+        "kind": "surface", "payload": {"vertices": [{"self_int": -2.0}]}}),
+    "ray": ("toric-volume", {
+        "kind": "toric",
+        "payload": {"cone": {"generators": [[0, 1, 0], [0, 0, 1], [1, 0, -2]]},
+                    "rays": [[0, 1, 0], [0, 0, 1], [1, 0, -2], [1.0, 1.0, 1.0]],
+                    "coeffs": [0, 0, 2, -1]}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGRAL_FLOATS))
+def test_integral_floats_are_invalid_input(tmp_path, result_validator, case):
+    sub, problem = INTEGRAL_FLOATS[case]
+    path = write_problem(tmp_path, problem)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "locvol.cli", sub, path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stdout)
+    result_validator.validate(err)
+    assert err["error"]["code"] == "validation"
+    assert "is not of type 'integer'" in err["error"]["message"]
+
+
+def test_exit_2_on_files_json_cannot_load(tmp_path, result_validator):
+    # ValueError, not JSONDecodeError: the first is past Python's int
+    # conversion limit, the second is not UTF-8
+    long_int = '{"kind": "surface", "payload": {"vertices": [{"self_int": -%s}]}}'
+    for name, data in (("long.json", (long_int % ("2" * 5000)).encode()),
+                       ("latin1.json", b"\xff{}")):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, _ = invoke("surface-volume", str(path))
+        assert code == 2, out
+        err = json.loads(out)
+        result_validator.validate(err)
+        assert err["error"]["code"] == "validation"
+
+
 def test_principal_monomial_ideal_is_saturated(tmp_path):
     path = write_problem(tmp_path, {"kind": "monomial",
                                     "payload": {"generators": [[3, 1]]}})
@@ -380,33 +427,35 @@ SUBCOMMAND_FIXTURES = [("toric-volume", "tnc.json"), ("toric-h1", "tnc.json"),
                        ("fujita-check", "tnc_fujita.json"),
                        ("convexity-check", "tnc_convexity.json")]
 
-# prints, after each stage, the stage and whether numpy is loaded
-NUMPY_PROBE = """
+# prints, after each stage, the stage and which of the third-party modules
+# the package must not load are loaded
+IMPORT_PROBE = """
 import io, json, sys
 def seen(stage):
-    print(json.dumps([stage, "numpy" in sys.modules]))
+    print(json.dumps([stage, [m for m in ("jsonschema", "numpy") if m in sys.modules]]))
 import locvol
 seen("import locvol")
 from locvol import cli
 seen("import locvol.cli")
 for sub, path in json.loads(sys.argv[1]):
     seen([sub, cli.run([sub, path], stdout=io.StringIO())])
-import numpy
-seen("import numpy")
+import jsonschema, numpy
+seen("import jsonschema, numpy")
 """
 
 
-def test_no_subcommand_loads_numpy():
+def test_no_subcommand_loads_numpy_or_jsonschema():
     assert sorted(sub for sub, _ in SUBCOMMAND_FIXTURES) == sorted(SUBCOMMANDS)
     runs = [(sub, fixture(name)) for sub, name in SUBCOMMAND_FIXTURES]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(runs)],
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(runs)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     stages = [json.loads(line) for line in proc.stdout.splitlines()]
-    expected = [["import locvol", False], ["import locvol.cli", False]]
-    expected += [[[sub, 0], False] for sub, _ in SUBCOMMAND_FIXTURES]
-    expected.append(["import numpy", True])  # the probe can see numpy
+    expected = [["import locvol", []], ["import locvol.cli", []]]
+    expected += [[[sub, 0], []] for sub, _ in SUBCOMMAND_FIXTURES]
+    # the probe can see both
+    expected.append(["import jsonschema, numpy", ["jsonschema", "numpy"]])
     assert stages == expected
 
 
