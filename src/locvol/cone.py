@@ -12,7 +12,6 @@ All integration is symbolic antidifferentiation; nothing is numeric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -190,32 +189,29 @@ class PiecewisePoly:
 # polarized models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Curve:
     """Smooth projective curve with a polarization of the given degree."""
 
-    genus: int
-    degree: int
-    general_position: bool = False
+    __slots__ = ("genus", "degree", "general_position")
 
-    def __post_init__(self):
-        if self.genus < 0 or self.degree < 1:
+    def __init__(self, genus: int, degree: int, general_position: bool = False):
+        if genus < 0 or degree < 1:
             raise ValueError("need genus >= 0 and polarization degree >= 1")
+        self.genus, self.degree = genus, degree
+        self.general_position = general_position
 
 
-@dataclass(frozen=True)
 class ProjSpace:
     """Projective space of the given dimension, polarized by O(h)."""
 
-    dim: int
-    h: int
+    __slots__ = ("dim", "h")
 
-    def __post_init__(self):
-        if self.dim < 1 or self.h < 1:
+    def __init__(self, dim: int, h: int):
+        if dim < 1 or h < 1:
             raise ValueError("need dim >= 1 and h >= 1")
+        self.dim, self.h = dim, h
 
 
-@dataclass(frozen=True)
 class AbelianCover:
     """Double cover of an abelian surface: canonical class pulls back the
     branch-defining ample class, polarization pulls back another one.
@@ -224,37 +220,35 @@ class AbelianCover:
     upstairs intersection numbers double.
     """
 
-    base_sq: int
-    mixed: int
-    pol_sq: int
-    cover_multiplier: int = 2
+    __slots__ = ("base_sq", "mixed", "pol_sq", "cover_multiplier")
 
-    def __post_init__(self):
-        if min(self.base_sq, self.mixed, self.pol_sq) <= 0:
+    def __init__(self, base_sq: int, mixed: int, pol_sq: int, cover_multiplier: int = 2):
+        if min(base_sq, mixed, pol_sq) <= 0:
             raise ValueError("intersection data must be positive")
-        if self.mixed ** 2 - self.base_sq * self.pol_sq < 0:
+        if mixed ** 2 - base_sq * pol_sq < 0:
             raise ValueError("threshold would be complex: need mixed^2 >= base*pol")
+        self.base_sq, self.mixed, self.pol_sq = base_sq, mixed, pol_sq
+        self.cover_multiplier = cover_multiplier
 
 
-@dataclass(frozen=True)
 class LatticeModel:
     """Surface given by its numerical lattice, canonical and polarization
     vectors; `envelope_nef_certified` asserts psef = nef where needed."""
 
-    lattice: SurfaceLattice
-    canonical: tuple
-    polarization: tuple
-    envelope_nef_certified: bool = False
+    __slots__ = ("lattice", "canonical", "polarization", "envelope_nef_certified")
 
-    def __post_init__(self):
-        k = tuple(Fraction(x) for x in self.canonical)
-        h = tuple(Fraction(x) for x in self.polarization)
-        object.__setattr__(self, "canonical", k)
-        object.__setattr__(self, "polarization", h)
-        if self.lattice.pair(h, h) <= 0:
+    def __init__(self, lattice: SurfaceLattice, canonical, polarization,
+                 envelope_nef_certified: bool = False):
+        k = tuple(Fraction(x) for x in canonical)
+        h = tuple(Fraction(x) for x in polarization)
+        if len(k) != lattice.rank or len(h) != lattice.rank:
+            raise ValueError(f"k and h must have length {lattice.rank}, the gram rank")
+        if lattice.pair(h, h) <= 0:
             raise InvalidModel("polarization must have positive self-intersection")
-        if self.lattice.is_round_model and self.lattice.negative_curves:
+        if lattice.is_round_model and lattice.negative_curves:
             raise InvalidModel("round psef model cannot carry negative curves")
+        self.lattice, self.canonical, self.polarization = lattice, k, h
+        self.envelope_nef_certified = envelope_nef_certified
 
 
 def model_dim(model) -> int:

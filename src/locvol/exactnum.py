@@ -8,7 +8,6 @@ inequality between radicals has to be decided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from math import isqrt
@@ -60,7 +59,6 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return (s, f * m)
 
 
-@dataclass(frozen=True)
 class QuadraticNumber:
     """Exact element a + b*sqrt(c) of a real quadratic field.
 
@@ -69,12 +67,10 @@ class QuadraticNumber:
     allows rational operands on either side.
     """
 
-    a: Fraction
-    b: Fraction
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        a, b, c = Fraction(self.a), Fraction(self.b), int(self.c)
+    def __init__(self, a, b, c):
+        a, b, c = Fraction(a), Fraction(b), int(c)
         if c < 0:
             raise ValueError("radicand must be non-negative")
         if b:
@@ -89,9 +85,7 @@ class QuadraticNumber:
                 c = 0
         if not b:
             b, c = Fraction(0), 0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        self.a, self.b, self.c = a, b, c
 
     # -- helpers ---------------------------------------------------------
 

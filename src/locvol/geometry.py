@@ -1,11 +1,15 @@
 """Exact rational polyhedral kernel.
 
-H-representations over the rationals are primary.  Vertex enumeration and
-facet enumeration both run through one double-description routine on cones;
-volumes of bounded regions come from a recursive boundary-fan triangulation
-with exact determinants; volumes and lattice-point counts of bounded
-differences of nested unbounded polyhedra are obtained by capping with a
-halfspace that is strictly positive on the common recession cone.
+H-representations over the rationals are primary.  Rank, determinant and
+linear solves share one fraction-free Gauss-Jordan elimination (Bareiss) on
+Python ints, after each row is scaled by the lcm of its denominators.
+Vertex enumeration and facet enumeration both run through one
+double-description routine on cones, whose adjacency test is combinatorial:
+a pair of rays is adjacent iff no third ray is tight on all rows both are
+tight on.  Volumes of bounded regions come from a recursive boundary-fan
+triangulation with exact determinants; volumes and lattice-point counts of
+bounded differences of nested unbounded polyhedra are obtained by capping
+with a halfspace that is strictly positive on the common recession cone.
 
 Lattice points are found by one slice scan on Python ints.  A slice fixes
 the first n-2 coordinates; in the plane left over, every row is a line
@@ -22,10 +26,10 @@ is built.  numpy is never loaded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from math import factorial, gcd, ceil, floor, prod
+from math import factorial, gcd, ceil, floor, lcm, prod
 
 from .linprog import LPResult, solve_lp
 
@@ -62,7 +66,7 @@ VERTEX_ENUM_MAX_DIM = 8
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra
+# small exact linear algebra: one fraction-free elimination core
 # ---------------------------------------------------------------------------
 
 def vec_gcd(v):
@@ -84,62 +88,63 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def mat_rank(rows) -> int:
-    rows = [[Fraction(x) for x in r] for r in rows]
-    rank, ncols = 0, (len(rows[0]) if rows else 0)
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
+def clear_denominators(row):
+    """The rational row times the lcm d of its denominators, as ints, and d."""
+    row = [Fraction(x) for x in row]
+    d = lcm(*[x.denominator for x in row])
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def _bareiss(a):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
+
+    Returns (pivot columns, last pivot, sign of the row swaps).  Every entry
+    stays a minor of the input, so each division by the previous pivot is
+    exact (Bareiss 1968).  Afterwards the first r = len(pivot columns) rows
+    are the reduced row echelon form times the last pivot, and the other rows
+    are zero; for a nonsingular square matrix the last pivot is sign * det.
+    """
+    cols, prev, sign = [], 1, 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(cols)
+        if r == len(a):
             break
-    return rank
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        piv, top = a[r][c], a[r]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+        cols.append(c)
+        prev = piv
+    return cols, prev, sign
+
+
+def mat_rank(rows) -> int:
+    return len(_bareiss([clear_denominators(r)[0] for r in rows])[0])
 
 
 def mat_det(rows) -> Fraction:
-    rows = [[Fraction(x) for x in r] for r in rows]
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
+    scaled = [clear_denominators(r) for r in rows]
+    cols, last, sign = _bareiss([r for r, _ in scaled])
+    if len(cols) < len(scaled):
+        return Fraction(0)
+    return Fraction(sign * last, prod(d for _, d in scaled))
 
 
 def solve_linear(rows, rhs):
     """Solve a square nonsingular rational system exactly."""
     n = len(rows)
-    aug = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return tuple(aug[i][n] for i in range(n))
+    aug = [clear_denominators(list(r) + [b])[0] for r, b in zip(rows, rhs)]
+    cols, last, _ = _bareiss(aug)
+    if cols != list(range(n)):
+        raise ValueError("singular system")
+    return tuple([Fraction(row[n], last) for row in aug])
 
 
 def affine_rank(points) -> int:
@@ -155,33 +160,19 @@ def affine_rank(points) -> int:
 # double description: extreme rays of {x : <row, x> >= 0}
 # ---------------------------------------------------------------------------
 
-def _integer_rows(rows):
-    out = []
-    for r in rows:
-        fr = [Fraction(x) for x in r]
-        lcm = 1
-        for x in fr:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        out.append(primitive([int(x * lcm) for x in fr]))
-    return out
-
-
 def cone_extreme_rays(rows, dim):
     """Extreme rays and lineality basis of the cone {x : <r, x> >= 0 for all r}.
 
-    Rays are primitive integer vectors.  Constraints are processed with the
-    lineality-consuming rows first so the classic adjacency test applies.
+    Rays are primitive integer vectors.  A maximal independent prefix of the
+    rows is processed first, so it consumes the whole lineality space; after
+    it, the rays are the extreme rays of a pointed cone modulo the lineality,
+    and two of them are adjacent iff no third ray is tight on every row both
+    are tight on (Fukuda & Prodon 1996).
     """
-    rows = [r for r in _integer_rows(rows) if any(r)]
-    # reorder: a maximal independent prefix consumes the lineality up front
-    prefix, rest, seen = [], [], []
-    for r in rows:
-        if mat_rank(seen + [r]) > len(seen):
-            prefix.append(r)
-            seen.append(r)
-        else:
-            rest.append(r)
-    rows = prefix + rest
+    rows = [primitive(clear_denominators(r)[0]) for r in rows]
+    rows = [r for r in rows if any(r)]
+    prefix, _, _ = _bareiss([list(col) for col in zip(*rows)])
+    rows = [rows[i] for i in prefix] + [r for i, r in enumerate(rows) if i not in prefix]
 
     lin = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     rays = []  # list of (vector, tight bitmask over processed rows)
@@ -221,28 +212,19 @@ def cone_extreme_rays(rows, dim):
         if not pos:
             rays = zer
             continue
-        target = dim - len(lin) - 2
+        masks = [m for _, m in rays]
         combos = []
         for rp, mp, vp in pos:
             for rn, mn, vn in neg:
                 common = mp & mn
-                tight_rows = [rows[j] for j in _bits(common)]
-                rank = mat_rank(tight_rows) if tight_rows else 0
-                if rank != target:
-                    continue  # not adjacent: combination would be non-extreme
+                # the pair itself always qualifies; a third ray means the
+                # pair spans more than an edge and the combination is not extreme
+                if sum(m & common == common for m in masks) > 2:
+                    continue
                 w = primitive([vp * x - vn * y for x, y in zip(rn, rp)])
                 combos.append((w, common | (1 << k)))
         rays = _dedupe([(r, m) for r, m, _ in pos] + zer + combos)
     return [r for r, _ in rays], lin
-
-
-def _bits(mask):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
 
 
 def _dedupe(rays):
@@ -259,24 +241,18 @@ def _dedupe(rays):
 # H-representation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Halfspace:
     """Constraint <normal, x> >= offset with primitive integer normal."""
 
-    normal: tuple[int, ...]
-    offset: Fraction
+    __slots__ = ("normal", "offset")
 
-    def __post_init__(self):
-        n = [Fraction(x) for x in self.normal]
-        lcm = 1
-        for x in n:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        ints = [int(x * lcm) for x in n]
+    def __init__(self, normal, offset):
+        ints, d = clear_denominators(normal)
         g = vec_gcd(ints)
         if g == 0:
             raise ValueError("zero normal in halfspace")
-        object.__setattr__(self, "normal", tuple(v // g for v in ints))
-        object.__setattr__(self, "offset", Fraction(self.offset) * lcm / g)
+        self.normal = tuple(v // g for v in ints)
+        self.offset = Fraction(offset) * d / g
 
     def holds(self, point) -> bool:
         return dot(self.normal, point) >= self.offset
@@ -285,12 +261,8 @@ class Halfspace:
         return Halfspace(self.normal, self.offset * Fraction(m))
 
 
-@dataclass(frozen=True)
-class VRep:
-    """Minimal V-representation: vertices plus extreme recession rays."""
-
-    vertices: tuple[tuple[Fraction, ...], ...]
-    rays: tuple[tuple[int, ...], ...]
+VRep = namedtuple("VRep", "vertices rays")
+VRep.__doc__ = "Minimal V-representation: vertices plus extreme recession rays."
 
 
 class Polyhedron:

@@ -8,7 +8,7 @@ variables; internally x splits into a difference of non-negative parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 OPTIMAL = "optimal"
@@ -16,11 +16,10 @@ UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class LPResult:
-    status: str
-    value: Fraction | None = None
-    point: tuple[Fraction, ...] | None = None
+class LPResult(namedtuple("LPResult", "status value point", defaults=(None, None))):
+    """Status, and for an optimum its value and a point attaining it."""
+
+    __slots__ = ()
 
     @property
     def is_optimal(self) -> bool:

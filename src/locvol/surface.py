@@ -12,10 +12,10 @@ list of negative curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .geometry import solve_linear
+from .geometry import clear_denominators, solve_linear
 from .linprog import INFEASIBLE, LPResult, solve_lp
 
 
@@ -40,66 +40,56 @@ class InvalidModel(SurfaceError):
 
 
 # ---------------------------------------------------------------------------
-# exact symmetric-matrix checks
+# exact symmetric-matrix checks: one fraction-free symmetric elimination
 # ---------------------------------------------------------------------------
 
 def ldl_pivots_negative(m) -> bool:
-    """Negative definiteness by in-order LDL^T elimination, all pivots < 0."""
-    a = [[Fraction(x) for x in row] for row in m]
-    n = len(a)
-    for k in range(n):
-        if a[k][k] >= 0:
-            return False
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return True
+    """Negative definiteness, read off the inertia."""
+    return symmetric_inertia(m) == (0, len(m), 0)
 
 
 def symmetric_inertia(m):
-    """(positive, negative, zero) eigenvalue counts by exact congruence."""
-    a = [[Fraction(x) for x in row] for row in m]
-    n = len(a)
+    """(positive, negative, zero) eigenvalue counts by exact congruence.
+
+    Fraction-free symmetric elimination on diagonal pivots, after scaling
+    the whole matrix by one positive lcm of its denominators.  Each pivot is
+    the principal minor on the indices pivoted so far, so the LDL^T pivot it
+    stands for is positive iff it has the sign of the previous minor.  When
+    every diagonal entry left is zero but some a_ij is not, the congruence
+    e_i -> e_i + e_j makes the diagonal entry 2*a_ij; the divisions stay
+    exact, since a congruence of the remaining block commutes with the
+    elimination.
+    """
+    n = len(m)
+    flat, _ = clear_denominators([x for row in m for x in row])
+    a = [flat[i * n:(i + 1) * n] for i in range(n)]
     active = list(range(n))
-    pos = neg = zero = 0
+    pos = neg = 0
+    prev = 1
     while active:
-        k = next((i for i in active if a[i][i] != 0), None)
-        if k is not None:
-            if a[k][k] > 0:
-                pos += 1
-            else:
-                neg += 1
-            active.remove(k)
-            piv = a[k][k]
-            for i in active:
-                f = a[i][k] / piv
-                if f:
-                    for j in active:
-                        a[i][j] -= f * a[k][j]
-                    a[i][k] = Fraction(0)
-            for j in active:
-                a[k][j] = Fraction(0)
+        k = next((i for i in active if a[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in active for j in active if a[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            aij = a[i][j]
+            for l in active:
+                a[i][l] += a[j][l]
+                a[l][i] = a[i][l]
+            a[i][i] = 2 * aij
             continue
-        pair = next(
-            ((i, j) for i in active for j in active if j > i and a[i][j] != 0),
-            None,
-        )
-        if pair is None:
-            zero += len(active)
-            break
-        i0, j0 = pair
-        pos += 1
-        neg += 1
-        active.remove(i0)
-        active.remove(j0)
-        b = a[i0][j0]
-        for l in active:
-            ci, cj = a[l][i0], a[l][j0]
-            if ci or cj:
-                for mcol in active:
-                    a[l][mcol] -= (ci * a[j0][mcol] + cj * a[i0][mcol]) / b
-    return (pos, neg, zero)
+        piv = a[k][k]
+        if (piv > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        active.remove(k)
+        for i in active:
+            for j in active:
+                a[i][j] = (piv * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = piv
+    return (pos, neg, len(active))
 
 
 def _mat_vec(m, v):
@@ -163,12 +153,8 @@ def log_canonical_intersections(graph: DualGraph):
     )
 
 
-@dataclass(frozen=True)
-class ZariskiParts:
-    """Nef and effective parts, as coefficient vectors over the vertices."""
-
-    nef: tuple[Fraction, ...]
-    negative: tuple[Fraction, ...]
+ZariskiParts = namedtuple("ZariskiParts", "nef negative")
+ZariskiParts.__doc__ = "Nef and effective parts, as coefficient vectors over the vertices."
 
 
 def _support_iteration(gram, target):
@@ -251,16 +237,19 @@ class SurfaceLattice:
         self.gram = gram
         self.canonical = tuple(int(x) for x in canonical)
         self.ample = tuple(int(x) for x in ample)
+        self.negative_curves = tuple(tuple(int(x) for x in c) for c in negative_curves)
+        self.psef_generators = tuple(tuple(Fraction(x) for x in g)
+                                     for g in psef_generators)
+        if any(len(v) != n for v in (self.canonical, self.ample,
+                                     *self.negative_curves, *self.psef_generators)):
+            raise ValueError(f"lattice vectors must have length {n}, the gram rank")
         if _bilinear(self.ample, gram, self.ample) <= 0:
             raise InvalidLattice("ample class must have positive self-intersection")
-        self.negative_curves = tuple(tuple(int(x) for x in c) for c in negative_curves)
         for c in self.negative_curves:
             if _bilinear(c, gram, c) >= 0:
                 raise InvalidLattice(f"declared curve {c} is not negative")
             if _bilinear(self.ample, gram, c) <= 0:
                 raise InvalidLattice(f"declared curve {c} meets the ample class badly")
-        self.psef_generators = tuple(tuple(Fraction(x) for x in g)
-                                     for g in psef_generators)
 
     def pair(self, u, v) -> Fraction:
         return _bilinear(u, self.gram, v)

@@ -14,7 +14,7 @@ region; one enumeration below Meyer's cap makes that hull exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -92,6 +92,8 @@ class ToricDatum:
 
     def __init__(self, cone: PointedCone, refinement_rays):
         rays = tuple(primitive(tuple(int(x) for x in r)) for r in refinement_rays)
+        if any(len(r) != cone.dim for r in rays):
+            raise ValueError(f"refinement rays must have length {cone.dim}")
         if any(not any(r) for r in rays):
             raise ValueError("zero refinement ray")
         if len(set(rays)) != len(rays):
@@ -118,18 +120,17 @@ def classify_rays(datum: ToricDatum):
     return datum.kinds
 
 
-@dataclass(frozen=True)
 class ToricDivisor:
     """T-invariant divisor: one rational coefficient per refinement ray."""
 
-    datum: ToricDatum
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("datum", "coeffs")
 
-    def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        if len(coeffs) != len(self.datum.rays):
+    def __init__(self, datum: ToricDatum, coeffs):
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if len(coeffs) != len(datum.rays):
             raise ValueError("coefficient count must match ray count")
-        object.__setattr__(self, "coeffs", coeffs)
+        self.datum = datum
+        self.coeffs = coeffs
 
     def scaled(self, m) -> "ToricDivisor":
         return ToricDivisor(self.datum, tuple(Fraction(m) * c for c in self.coeffs))
@@ -173,11 +174,7 @@ def h1_sequence(d: ToricDivisor, m_max: int):
     return [(m, c, Fraction(factorial(n) * c, m ** n)) for m, c in zip(scales, counts)]
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    lies_over_center: bool
-    effective: bool
-    volume_zero: bool
+VanishingReport = namedtuple("VanishingReport", "lies_over_center effective volume_zero")
 
 
 def effectivity_vanishing_check(d: ToricDivisor) -> VanishingReport:

@@ -250,6 +250,16 @@ def test_principal_monomial_ideal_is_saturated(tmp_path):
     assert [row[1] for row in record["sequences"]["rows"]] == [0] * 8
 
 
+def _fixture_with(name, edit):
+    problem = json.loads((SCHEMAS / name).read_text())
+    edit(problem["payload"])
+    return problem
+
+
+def _p1xc_with(**model):
+    return ("bdff-volume", _fixture_with("p1xC.json", lambda p: p["model"].update(model)))
+
+
 INVALID_PAYLOADS = {
     "ragged-exponents": ("monomial-mult", {
         "kind": "monomial", "payload": {"generators": [[1, 0], [0, 1, 2]]}}),
@@ -271,6 +281,15 @@ INVALID_PAYLOADS = {
         "kind": "cone",
         "payload": {"model": {"type": "abelian_cover", "base_sq": 1, "mixed": 1,
                               "pol_sq": 4}}}),
+    # lattice vectors must have the length of the gram rank, 2 here
+    "short-canonical": _p1xc_with(canonical=[2]),
+    "long-ample": _p1xc_with(ample=[1, 1, 7]),
+    "long-psef-generator": _p1xc_with(psef_generators=[[1, 0, 4], [0, 1]]),
+    "long-negative-curve": _p1xc_with(negative_curves=[[1, -1, 3]]),
+    "long-k": _p1xc_with(k=[1, 0, 0]),
+    "short-h": _p1xc_with(h=[1]),
+    "long-ray": ("toric-volume", _fixture_with(
+        "tnc.json", lambda p: p.update(rays=p["rays"][:-1] + [[1, 0, 0, 5]]))),
 }
 
 
@@ -475,3 +494,31 @@ def test_all_fixtures_validate_against_problem_schema():
         if "schema" in path.name:
             continue
         validator.validate(json.loads(path.read_text()))
+
+
+# one fixture per problem kind
+TRACED_RUNS = {"toric": ("toric-volume", "tnc.json"),
+               "monomial": ("monomial-mult", "mon_x3xy3.json"),
+               "surface": ("surface-volume", "a1.json"),
+               "cone": ("cone-volume", "abelian_cover.json"),
+               "tcomp": ("bdff-volume", "p1xC.json"),
+               "fujita": ("fujita-check", "tnc_fujita.json"),
+               "logconvexity": ("convexity-check", "tnc_convexity.json")}
+
+
+@pytest.mark.parametrize("kind", sorted(TRACED_RUNS))
+def test_traced_cli_prints_what_the_cli_prints(kind):
+    # the benchmark's traced cli_fixtures run reads the last stderr line of
+    # perfbench/cli_traced.py; tracing must leave stdout and the exit code alone
+    sub, name = TRACED_RUNS[kind]
+    assert json.loads((SCHEMAS / name).read_text())["kind"] == kind
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    plain = subprocess.run([sys.executable, "-m", "locvol.cli", sub, fixture(name)],
+                           capture_output=True, text=True, env=env, timeout=120)
+    traced = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "cli_traced.py"), sub, fixture(name)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert plain.returncode == 0, plain.stdout + plain.stderr
+    assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout)
+    summary = json.loads(traced.stderr.splitlines()[-1])
+    assert summary["missing"] == []

@@ -55,6 +55,14 @@ def test_inertia():
     assert symmetric_inertia([[2, 3], [3, 2]]) == (1, 1, 0)
     assert symmetric_inertia([[-2, 1], [1, -2]]) == (0, 2, 0)
     assert symmetric_inertia([[1, 0], [0, 0]]) == (1, 0, 1)
+    # no diagonal pivot left: the congruence e_i -> e_i + e_j makes one
+    assert symmetric_inertia([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) == (1, 1, 1)
+    assert symmetric_inertia([[1, 1, 1], [1, 1, 0], [1, 0, 0]]) == (2, 1, 0)
+    assert symmetric_inertia([[0, 1, 0, 0], [1, 0, 0, 0],
+                              [0, 0, 0, -3], [0, 0, -3, 0]]) == (2, 2, 0)
+    # rational entries are scaled by one positive lcm
+    assert symmetric_inertia([[F(1, 2), F(1, 3)], [F(1, 3), F(1, 5)]]) == (1, 1, 0)
+    assert symmetric_inertia([[F(-1, 2), F(1, 3)], [F(1, 3), F(-1, 4)]]) == (0, 2, 0)
 
 
 # -- adjunction vector --------------------------------------------------------
