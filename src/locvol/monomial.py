@@ -24,17 +24,15 @@ from math import factorial
 from operator import sub
 
 from .geometry import (
-    Halfspace,
     Polyhedron,
     _fibre_count,
-    eliminate_direction,
+    dot,
     hull_polyhedron,
     mat_det,
-    project_out,
     solve_linear,
     volume_of_difference,
 )
-from .toric import PointedCone
+from .toric import PointedCone, _minimal_generators, saturate_region
 
 GENERATOR_LIMIT = 10 ** 6
 
@@ -51,18 +49,12 @@ class UnsupportedAmbient(MonomialError):
     """Cone-ambient request outside the simplicial unimodular range."""
 
 
-def _minimalize(gens, dominates):
-    keep = []
-    for g in sorted(set(gens)):
-        if any(dominates(g, h) for h in keep):
-            continue
-        keep = [h for h in keep if not dominates(h, g)]
-        keep.append(g)
-    return tuple(sorted(keep))
-
-
 class MonomialIdeal:
-    """Monomial ideal by minimal generators; orthant or cone ambient."""
+    """Monomial ideal by minimal generators; orthant or cone ambient.
+
+    `rays` and `facets` are the ambient cone's extreme rays and facet
+    normals; for the orthant both are the unit vectors.
+    """
 
     def __init__(self, generators, ambient: PointedCone | None = None):
         gens = [tuple(int(x) for x in g) for g in generators]
@@ -76,23 +68,21 @@ class MonomialIdeal:
         if ambient is None:
             if any(x < 0 for g in gens for x in g):
                 raise ValueError("orthant-ambient exponents must be non-negative")
+            units = tuple(tuple(int(j == i) for j in range(dim)) for i in range(dim))
+            self.rays = self.facets = units
         else:
             if ambient.dim != dim:
                 raise ValueError("ambient dimension mismatch")
             for g in gens:
                 if not ambient.contains(g):
                     raise ValueError(f"generator {g} outside the ambient cone")
-        self.generators = _minimalize(gens, self._dominates)
-
-    def _dominates(self, g, h) -> bool:
-        """Whether g lies in h + ambient cone."""
-        diff = tuple(x - y for x, y in zip(g, h))
-        if self.ambient is None:
-            return all(x >= 0 for x in diff)
-        return self.ambient.contains(diff)
+            self.rays, self.facets = ambient.extreme_rays, ambient.facets
+        self.generators = tuple(sorted(_minimal_generators(gens, self.facets)))
 
     def contains_exponent(self, u) -> bool:
-        return any(self._dominates(tuple(u), g) for g in self.generators)
+        """Whether u lies in some generator's translate of the ambient cone."""
+        return any(all(dot(f, u) >= dot(f, g) for f in self.facets)
+                   for g in self.generators)
 
     def __eq__(self, other):
         return (
@@ -110,12 +100,7 @@ class MonomialIdeal:
 
     def newton_region(self) -> Polyhedron:
         """Convex hull of the generators plus the ambient cone."""
-        rays = (
-            [tuple(1 if j == i else 0 for j in range(self.dim)) for i in range(self.dim)]
-            if self.ambient is None
-            else list(self.ambient.extreme_rays)
-        )
-        return hull_polyhedron(self.dim, self.generators, rays)
+        return hull_polyhedron(self.dim, self.generators, self.rays)
 
 
 def power(ideal: MonomialIdeal, p: int) -> MonomialIdeal:
@@ -173,19 +158,13 @@ def saturation(ideal: MonomialIdeal) -> MonomialIdeal:
         moved, back = _orthant_transform(ideal)
         sat = saturation(moved)
         return MonomialIdeal([back(g) for g in sat.generators], ideal.ambient)
-    n = ideal.dim
-    partials = []
-    for i in range(n):
-        zeroed = [g[:i] + (0,) + g[i + 1:] for g in ideal.generators]
-        partials.append(MonomialIdeal(zeroed))
-    gens = partials[0].generators
+    partials = [MonomialIdeal([g[:i] + (0,) + g[i + 1:] for g in ideal.generators])
+                for i in range(ideal.dim)]
+    sat = partials[0]
     for part in partials[1:]:
-        gens = _minimalize(
-            [tuple(max(a, b) for a, b in zip(g, h))
-             for g in gens for h in part.generators],
-            part._dominates,
-        )
-    return MonomialIdeal(gens)
+        sat = MonomialIdeal([tuple(map(max, g, h))
+                             for g in sat.generators for h in part.generators])
+    return sat
 
 
 def _staircase_mask(pts, gens):
@@ -266,31 +245,9 @@ def h1_dim(ideal: MonomialIdeal) -> int:
 
 
 def saturated_newton_region(ideal: MonomialIdeal) -> Polyhedron:
-    """The Newton region's saturation: intersect its coordinate slides.
-
-    Orthant case: intersect the lifted projections along each coordinate
-    axis with the orthant.  Cone case: intersect the slides along the
-    ambient cone's extreme rays with the cone itself.
-    """
-    region = ideal.newton_region()
-    n = ideal.dim
-    rows = []
-    if ideal.ambient is None:
-        for i in range(n):
-            shadow = project_out(region, i)
-            for h in shadow.halfspaces:
-                normal = h.normal[:i] + (0,) + h.normal[i:]
-                rows.append(Halfspace(normal, h.offset))
-        for i in range(n):
-            rows.append(Halfspace(tuple(1 if j == i else 0 for j in range(n)),
-                                  Fraction(0)))
-    else:
-        for tau in ideal.ambient.extreme_rays:
-            slid = eliminate_direction(region, tau)
-            rows.extend(slid.halfspaces)
-        for f in ideal.ambient.facets:
-            rows.append(Halfspace(f, Fraction(0)))
-    return Polyhedron(n, rows).pruned()
+    """The Newton region's saturation: its slides along the ambient cone's
+    extreme rays, intersected with the cone."""
+    return saturate_region(ideal.newton_region(), ideal.rays, ideal.facets)
 
 
 def asymptotic_multiplicity(ideal: MonomialIdeal) -> Fraction:

@@ -158,27 +158,26 @@ ZariskiParts.__doc__ = "Nef and effective parts, as coefficient vectors over the
 
 
 def _support_iteration(gram, target):
-    """Decompose the class with intersection numbers `target` against the
-    negative definite `gram`: grow the bad support until the rest is nef."""
-    n = len(target)
-    z = solve_linear([list(r) for r in gram], list(target))
-    support = set()
-    for _ in range(n + 1):
+    """Grow the support of the negative part until the rest is nef.
+
+    `gram` is the curves' Gram matrix and `target` the class's intersection
+    numbers with them.  Each pass solves for the coefficients on the
+    support that make the rest orthogonal to it, and adds every curve the
+    rest pairs negatively with.  Returns (support index -> coefficient, the
+    rest's pairing with each curve); a singular support raises ValueError.
+    """
+    support = []
+    for _ in range(len(target) + 1):
+        coeffs = {}
         if support:
-            idx = sorted(support)
-            sub = [[gram[i][j] for j in idx] for i in idx]
-            sol = solve_linear(sub, [target[i] for i in idx])
-            neg = [Fraction(0)] * n
-            for i, v in zip(idx, sol):
-                neg[i] = v
-        else:
-            neg = [Fraction(0)] * n
-        nef = tuple(a - b for a, b in zip(z, neg))
-        pairing = _mat_vec(gram, nef)
-        violations = {j for j, v in enumerate(pairing) if v < 0}
+            sub = [[gram[i][j] for j in support] for i in support]
+            coeffs = dict(zip(support, solve_linear(sub, [target[i] for i in support])))
+        pairing = tuple(t - sum(v * gram[i][k] for i, v in coeffs.items())
+                        for k, t in enumerate(target))
+        violations = [k for k, v in enumerate(pairing) if v < 0]
         if not violations:
-            return ZariskiParts(nef, tuple(neg)), pairing
-        support |= violations
+            return coeffs, pairing
+        support = sorted(support + violations)
     raise SurfaceError("support iteration failed to terminate")  # unreachable
 
 
@@ -188,7 +187,10 @@ def zariski_decompose(graph: DualGraph, target) -> ZariskiParts:
     target = tuple(Fraction(x) for x in target)
     if len(target) != graph.rank:
         raise ValueError("intersection vector length mismatch")
-    parts, pairing = _support_iteration(graph.matrix, target)
+    coeffs, pairing = _support_iteration(graph.matrix, target)
+    negative = tuple(coeffs.get(i, Fraction(0)) for i in range(graph.rank))
+    whole = solve_linear([list(r) for r in graph.matrix], list(target))  # the class itself
+    parts = ZariskiParts(tuple(a - b for a, b in zip(whole, negative)), negative)
     if any(v < 0 for v in parts.negative):
         raise NegativeCoefficient(f"effective part {parts.negative} is invalid")
     if any(v < 0 for v in pairing):
@@ -230,7 +232,7 @@ class SurfaceLattice:
         if any(len(row) != n for row in gram) or any(
             gram[i][j] != gram[j][i] for i in range(n) for j in range(n)
         ):
-            raise InvalidLattice("gram matrix must be square and symmetric")
+            raise ValueError("gram matrix must be square and symmetric")
         if symmetric_inertia(gram) != (1, n - 1, 0):
             raise InvalidLattice("gram matrix must have signature (1, rank-1)")
         self.rank = n
@@ -291,35 +293,17 @@ def lattice_zariski(lattice: SurfaceLattice, d):
     """
     d = tuple(Fraction(x) for x in d)
     curves = lattice.negative_curves
-    support = set()
-    for _ in range(len(curves) + 1):
-        coeffs = {}
-        nef = list(d)
-        if support:
-            idx = sorted(support)
-            sub = [[lattice.pair(curves[i], curves[j]) for j in idx] for i in idx]
-            rhs = [lattice.pair(d, curves[i]) for i in idx]
-            try:
-                sol = solve_linear(sub, rhs)
-            except ValueError:
-                raise InvalidModel(
-                    "declared negative curves do not span a definite support"
-                )
-            coeffs = dict(zip(idx, sol))
-            for i, v in coeffs.items():
-                nef = [a - v * c for a, c in zip(nef, curves[i])]
-        violations = {
-            i for i, c in enumerate(curves)
-            if i not in support and lattice.pair(nef, c) < 0
-        }
-        if not violations:
-            if any(v < 0 for v in coeffs.values()):
-                raise NegativeCoefficient(
-                    f"negative part {coeffs} of a pseudo-effective class"
-                )
-            return tuple(nef), coeffs
-        support |= violations
-    raise SurfaceError("support iteration failed to terminate")  # unreachable
+    gram = [[lattice.pair(c, e) for e in curves] for c in curves]
+    try:
+        coeffs, _ = _support_iteration(gram, [lattice.pair(d, c) for c in curves])
+    except ValueError:
+        raise InvalidModel("declared negative curves do not span a definite support")
+    if any(v < 0 for v in coeffs.values()):
+        raise NegativeCoefficient(f"negative part {coeffs} of a pseudo-effective class")
+    nef = d
+    for i, v in coeffs.items():
+        nef = tuple(a - v * c for a, c in zip(nef, curves[i]))
+    return nef, coeffs
 
 
 def projective_volume(lattice: SurfaceLattice, d) -> Fraction:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import factorial, lcm
+from operator import ge
 
 from .geometry import (
     Halfspace,
@@ -191,24 +192,22 @@ def effectivity_vanishing_check(d: ToricDivisor) -> VanishingReport:
 # Fujita approximation through Newton regions of pushforward ideals
 # ---------------------------------------------------------------------------
 
-def _minimal_generators(points, sigma_gens, w):
-    """Minimal points of the set modulo translation by the dual cone.
+def _minimal_generators(points, facets):
+    """Minimal points of the set modulo the cone {x : <f, x> >= 0, f in facets}.
 
-    A point is dropped when it differs from an earlier one by a dual-cone
-    element; sorting by a functional positive on the dual cone makes one
-    pass sufficient.
+    In the coordinates <f, u>, one per facet normal f, a point lies in
+    another's translate of the cone iff it is componentwise >= it.  Their
+    sum is positive on the nonzero points of a pointed full-dimensional
+    cone, so in order of (sum, point) each point comes after every point
+    it dominates, and one pass suffices.
     """
-    pts = sorted(points, key=lambda u: (dot(w, u), u))
-    gens = []
-    for u in pts:
-        dominated = False
-        for g in gens:
-            diff = tuple(x - y for x, y in zip(u, g))
-            if all(dot(s, diff) >= 0 for s in sigma_gens):
-                dominated = True
-                break
-        if not dominated:
+    coords = {u: tuple(dot(f, u) for f in facets) for u in points}
+    gens, kept = [], []
+    for u in sorted(coords, key=lambda u: (sum(coords[u]), u)):
+        c = coords[u]
+        if not any(all(map(ge, c, k)) for k in kept):
             gens.append(u)
+            kept.append(c)
     return gens
 
 
@@ -229,16 +228,18 @@ def stable_newton_region(region: Polyhedron, cone: PointedCone) -> Polyhedron:
     top = max(dot(w, v) for v in region.vrep().vertices).__ceil__()
     cap = top + sum(dot(w, y) for y in dual_rays)
     capped = region.intersect(Halfspace(tuple(-x for x in w), Fraction(-cap)))
-    gens = _minimal_generators(lattice_points(capped), cone.generators, w)
+    gens = _minimal_generators(lattice_points(capped), cone.generators)
     return hull_polyhedron(cone.dim, gens, dual_rays)
 
 
-def saturate_region(region: Polyhedron, cone: PointedCone) -> Polyhedron:
-    """Intersection of the slides of the region along all dual extreme rays."""
-    rows = []
-    for tau in cone.facets:
-        slid = eliminate_direction(region, tau)
-        rows.extend(slid.halfspaces)
+def saturate_region(region: Polyhedron, rays, walls) -> Polyhedron:
+    """Intersection of the region's slides along the rays, inside the walls.
+
+    Each ray r contributes `eliminate_direction(region, r)`; each wall f
+    contributes <f, x> >= 0.
+    """
+    rows = [h for r in rays for h in eliminate_direction(region, r).halfspaces]
+    rows += [Halfspace(f, Fraction(0)) for f in walls]
     return Polyhedron(region.dim, rows).pruned()
 
 
@@ -259,7 +260,7 @@ def fujita_sequence(d: ToricDivisor, p_max: int):
             continue
         region = sections.scaled(p)
         newton = stable_newton_region(region, datum.cone)
-        saturated = saturate_region(newton, datum.cone)
+        saturated = saturate_region(newton, datum.cone.facets, ())
         mult = factorial(n) * volume_of_difference(newton, saturated)
         out.append((p, mult, mult / Fraction(p ** n)))
     return out

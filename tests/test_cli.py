@@ -290,6 +290,9 @@ INVALID_PAYLOADS = {
     "short-h": _p1xc_with(h=[1]),
     "long-ray": ("toric-volume", _fixture_with(
         "tnc.json", lambda p: p.update(rays=p["rays"][:-1] + [[1, 0, 0, 5]]))),
+    # a gram matrix must be square and symmetric before its signature means anything
+    "nonsymmetric-gram": _p1xc_with(gram=[[0, 1], [2, 0]]),
+    "ragged-gram": _p1xc_with(gram=[[0, 1], [1, 0, 0]]),
 }
 
 
@@ -315,6 +318,15 @@ def test_exit_3_on_computational_error(tmp_path, result_validator):
     err = json.loads(out)
     assert err["error"]["code"] == "computation"
     assert err["error"]["name"] == "NotNegativeDefinite"
+    result_validator.validate(err)
+
+
+def test_gram_of_wrong_signature_exits_3(tmp_path, result_validator):
+    sub, problem = _p1xc_with(gram=[[1, 0], [0, 1]])
+    code, out, _ = invoke(sub, write_problem(tmp_path, problem))
+    assert code == 3
+    err = json.loads(out)
+    assert err["error"]["name"] == "InvalidLattice"
     result_validator.validate(err)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from locvol.geometry import FIBRE_LIMIT, LatticeBudget
+from locvol.geometry import FIBRE_LIMIT, Halfspace, LatticeBudget, Polyhedron, project_out
 from locvol.monomial import (
     GeneratorBlowup,
     MonomialIdeal,
@@ -15,6 +15,7 @@ from locvol.monomial import (
     h1_dim,
     multiplicity_sequence,
     power,
+    saturated_newton_region,
     saturation,
 )
 from locvol.toric import PointedCone
@@ -135,6 +136,27 @@ def test_multiplicity_sequence_converges():
     assert abs(seq[-1][2] - target) / target <= F(1, 10)
     # empirical O(1/p) error: |value - limit| * p stays bounded
     assert all(abs(norm - target) * p <= 8 for p, _, norm in seq)
+
+
+def _lifted_shadows(ideal):
+    """The orthant saturation as lifted coordinate shadows of the Newton region,
+    intersected with the orthant."""
+    region, n = ideal.newton_region(), ideal.dim
+    rows = []
+    for i in range(n):
+        for h in project_out(region, i).halfspaces:
+            rows.append(Halfspace(h.normal[:i] + (0,) + h.normal[i:], h.offset))
+    rows += [Halfspace(tuple(int(j == i) for j in range(n)), F(0)) for i in range(n)]
+    return Polyhedron(n, rows)
+
+
+def test_orthant_saturation_matches_lifted_shadows():
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.choice((2, 3))
+        gens = [tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        I = MonomialIdeal(gens)
+        assert saturated_newton_region(I).same_set(_lifted_shadows(I)), gens
 
 
 def test_cone_ambient_unimodular_roundtrip():

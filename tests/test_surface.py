@@ -5,6 +5,7 @@ import pytest
 from locvol.surface import (
     DualGraph,
     InvalidLattice,
+    InvalidModel,
     NotNegativeDefinite,
     SurfaceLattice,
     divisor_local_volume,
@@ -226,11 +227,19 @@ def test_orthogonality_on_lattice():
         assert lat.pair(nef, lat.negative_curves[i]) == 0
 
 
+def test_singular_support_is_an_invalid_model():
+    # the two curves' Gram block [[-1, 1], [1, -1]] is singular
+    lat = SurfaceLattice([[1, 0, 0], [0, -1, 0], [0, 0, -1]], (0, 0, 0), (3, -1, 0),
+                         negative_curves=((0, 1, 0), (1, -1, 1)))
+    with pytest.raises(InvalidModel):
+        lattice_zariski(lat, (-3, 1, 0))
+
+
 def test_zariski_guard_raises_surface_error(monkeypatch):
     import locvol.surface as surface
 
     def bad_iteration(gram, target):
-        return surface.ZariskiParts((F(1),), (F(0),)), (F(-1),)
+        return {}, (F(-1),)
 
     monkeypatch.setattr(surface, "_support_iteration", bad_iteration)
     with pytest.raises(surface.SurfaceError):

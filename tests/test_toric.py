@@ -259,7 +259,7 @@ def _hull_below(region, cone, cap):
     rays = list(cone.facets)
     w = positive_functional(rays, cone.dim)
     capped = region.intersect(Halfspace(tuple(-x for x in w), F(-cap)))
-    gens = _minimal_generators(lattice_points(capped), cone.generators, w)
+    gens = _minimal_generators(lattice_points(capped), cone.generators)
     return hull_polyhedron(cone.dim, gens, rays)
 
 
@@ -305,3 +305,29 @@ def test_meyer_hull_matches_larger_caps(tnc_datum):
         assert hull.same_set(_hull_below(region, cone, max(2 * cap, cap + width)))
         assert hull.same_set(_hull_below(region, cone, 3 * abs(top) + 3 * width + 10))
     assert nonpositive_tops >= 3
+
+
+def _brute_minimal(points, cone):
+    """The distinct points no other distinct point lies below modulo the cone."""
+    pts = set(points)
+    return sorted(u for u in pts if not any(
+        v != u and cone.contains(tuple(a - b for a, b in zip(u, v))) for v in pts))
+
+
+def test_minimal_generators_match_brute_force():
+    cones = [
+        PointedCone([(1, 0), (0, 1)]),
+        PointedCone([(1, 0), (1, 3)]),
+        PointedCone([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        PointedCone([(0, 1, 0), (0, 0, 1), (1, 0, -2)]),
+        PointedCone([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),  # four facets
+    ]
+    rng = random.Random(29)
+    for cone in cones:
+        assert _minimal_generators([], cone.facets) == []
+        for _ in range(12):
+            pts = [tuple(rng.randint(-4, 4) for _ in range(cone.dim))
+                   for _ in range(rng.randint(1, 40))]
+            pts += rng.choices(pts, k=5)  # duplicates
+            gens = _minimal_generators(pts, cone.facets)
+            assert sorted(gens) == _brute_minimal(pts, cone), (cone.generators, pts)
