@@ -18,18 +18,10 @@ import time
 from fractions import Fraction
 from importlib import resources
 
-from . import __version__
+# every record renders through exactnum; the kernel layers are imported by
+# the builders and runners that use them, so a call loads only its family
+from . import LocvolError, __version__
 from .exactnum import QuadraticNumber, compare_cbrt_sum, format_decimal
-from .geometry import GeometryError
-from .monomial import MonomialError, MonomialIdeal, asymptotic_multiplicity, \
-    multiplicity_sequence
-from .surface import DualGraph, SurfaceError, SurfaceLattice, \
-    divisor_local_volume, singularity_volume
-from .toric import NotInCone, PointedCone, ToricDatum, ToricDivisor, ToricError, \
-    fujita_sequence, h1_sequence, local_volume_toric
-from .cone import AbelianCover, ConeError, Curve, LatticeModel, ProjSpace, \
-    bdff_cone_volume, cone_gamma_volume, cone_singularity_volume, \
-    lambda_sequence
 
 SUBCOMMANDS = {
     "toric-volume": "toric",
@@ -253,7 +245,9 @@ def _builder(build):
 
 
 @_builder
-def _build_datum(payload) -> ToricDatum:
+def _build_datum(payload):
+    from .toric import NotInCone, PointedCone, ToricDatum
+
     try:
         return ToricDatum(PointedCone(payload["cone"]["generators"]), payload["rays"])
     except NotInCone as exc:  # a ray outside the cone is input, not a computation
@@ -261,12 +255,17 @@ def _build_datum(payload) -> ToricDatum:
 
 
 @_builder
-def _build_divisor(datum, coeffs) -> ToricDivisor:
+def _build_divisor(datum, coeffs):
+    from .toric import ToricDivisor
+
     return ToricDivisor(datum, tuple(_fraction(c) for c in coeffs))
 
 
 @_builder
-def _build_ideal(payload) -> MonomialIdeal:
+def _build_ideal(payload):
+    from .monomial import MonomialIdeal
+    from .toric import PointedCone
+
     ambient = None
     if "ambient_cone" in payload:
         ambient = PointedCone(payload["ambient_cone"]["generators"])
@@ -274,7 +273,9 @@ def _build_ideal(payload) -> MonomialIdeal:
 
 
 @_builder
-def _build_graph(payload) -> DualGraph:
+def _build_graph(payload):
+    from .surface import DualGraph
+
     verts = [(v["self_int"], v.get("genus", 0)) for v in payload["vertices"]]
     edges = [(e["i"], e["j"], e.get("multiplicity", 1))
              for e in payload.get("edges", [])]
@@ -283,6 +284,9 @@ def _build_graph(payload) -> DualGraph:
 
 @_builder
 def _build_model(payload):
+    from .cone import AbelianCover, Curve, LatticeModel, ProjSpace
+    from .surface import SurfaceLattice
+
     model = payload["model"]
     kind = model["type"]
     if kind == "curve":
@@ -310,16 +314,20 @@ def _build_model(payload):
 
 # -- subcommand implementations -----------------------------------------------
 
-def _toric_divisor(payload) -> ToricDivisor:
+def _toric_divisor(payload):
     return _build_divisor(_build_datum(payload), payload["coeffs"])
 
 
 def _run_toric_volume(problem, opts):
+    from .toric import local_volume_toric
+
     d = _toric_divisor(problem["payload"])
     return _record(problem, local_volume_toric(d), "toric.local_volume")
 
 
 def _run_toric_h1(problem, opts):
+    from .toric import h1_sequence, local_volume_toric
+
     d = _toric_divisor(problem["payload"])
     seq = h1_sequence(d, opts["m_max"])
     rows = [[m, c, _cell(norm)] for m, c, norm in seq]
@@ -330,6 +338,8 @@ def _run_toric_h1(problem, opts):
 
 
 def _run_monomial_mult(problem, opts):
+    from .monomial import asymptotic_multiplicity, multiplicity_sequence
+
     ideal = _build_ideal(problem["payload"])
     value = asymptotic_multiplicity(ideal)
     seq = multiplicity_sequence(ideal, opts["p_max"])
@@ -341,6 +351,8 @@ def _run_monomial_mult(problem, opts):
 
 
 def _run_surface_volume(problem, opts):
+    from .surface import divisor_local_volume, singularity_volume
+
     graph = _build_graph(problem["payload"])
     if "divisor" in problem["payload"]:
         d = [_fraction(x) for x in problem["payload"]["divisor"]]
@@ -352,16 +364,22 @@ def _run_surface_volume(problem, opts):
 
 
 def _run_cone_volume(problem, opts):
+    from .cone import cone_singularity_volume
+
     return _record(problem, cone_singularity_volume(_build_model(problem["payload"])),
                    "cone.singularity_volume")
 
 
 def _run_cone_gamma(problem, opts):
+    from .cone import cone_gamma_volume
+
     return _record(problem, cone_gamma_volume(_build_model(problem["payload"])),
                    "cone.gamma_volume")
 
 
 def _run_bdff(problem, opts):
+    from .cone import bdff_cone_volume, cone_singularity_volume
+
     model = _build_model(problem["payload"])
     big = bdff_cone_volume(model)
     if problem["kind"] == "cone":
@@ -376,6 +394,8 @@ def _run_bdff(problem, opts):
 
 
 def _run_lambda_seq(problem, opts):
+    from .cone import cone_singularity_volume, lambda_sequence
+
     model = _build_model(problem["payload"])
     seq = lambda_sequence(model, opts["m_max"])
     rows = [[m, lam, _cell(norm)] for m, lam, norm in seq]
@@ -386,6 +406,8 @@ def _run_lambda_seq(problem, opts):
 
 
 def _run_fujita_check(problem, opts):
+    from .toric import fujita_sequence, local_volume_toric
+
     d = _toric_divisor(problem["payload"])
     value = local_volume_toric(d)
     seq = fujita_sequence(d, opts["p_max"])
@@ -405,6 +427,8 @@ def _run_fujita_check(problem, opts):
 
 
 def _run_convexity_check(problem, opts):
+    from .toric import ToricDivisor, local_volume_toric
+
     payload = problem["payload"]
     datum = _build_datum(payload)
     d_a = _build_divisor(datum, payload["coeffs_a"])
@@ -518,8 +542,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except ValidationFailure as exc:
         _error("validation", "ValidationFailure", str(exc), stdout)
         return 2
-    except (GeometryError, ToricError, MonomialError, SurfaceError, ConeError,
-            ValueError) as exc:
+    except (LocvolError, ValueError) as exc:
         _error("computation", type(exc).__name__, str(exc), stdout)
         return 3
 

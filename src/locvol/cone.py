@@ -15,12 +15,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from . import LocvolError
 from .exactnum import FieldMismatch, QuadraticNumber, solve_quadratic
+from .linalg import solve_linear
 from .surface import InvalidModel, SurfaceLattice, lattice_zariski
-from .geometry import solve_linear
 
 
-class ConeError(Exception):
+class ConeError(LocvolError):
     pass
 
 

@@ -1,15 +1,16 @@
 """Exact rational polyhedral kernel.
 
 H-representations over the rationals are primary.  Rank, determinant and
-linear solves share one fraction-free Gauss-Jordan elimination (Bareiss) on
-Python ints, after each row is scaled by the lcm of its denominators.
+linear solves come from the one elimination core in locvol.linalg.
 Vertex enumeration and facet enumeration both run through one
 double-description routine on cones, whose adjacency test is combinatorial:
 a pair of rays is adjacent iff no third ray is tight on all rows both are
-tight on.  Volumes of bounded regions come from a recursive boundary-fan
-triangulation with exact determinants; volumes and lattice-point counts of
-bounded differences of nested unbounded polyhedra are obtained by capping
-with a halfspace that is strictly positive on the common recession cone.
+tight on.  A pass that would build more than RAY_LIMIT candidate rays
+raises RayBudget before it builds any.  Volumes of bounded regions come
+from a recursive boundary-fan triangulation with exact determinants;
+volumes and lattice-point counts of bounded differences of nested
+unbounded polyhedra are obtained by capping with a halfspace that is
+strictly positive on the common recession cone.
 
 Lattice points are found by one slice scan on Python ints.  A slice fixes
 the first n-2 coordinates; in the plane left over, every row is a line
@@ -29,12 +30,26 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from math import factorial, gcd, ceil, floor, lcm, prod
+from math import factorial, gcd, ceil, floor, prod
 
+from . import LocvolError
+# solve_linear is bound here, unused, because perfbench/tracing.py targets
+# locvol.geometry.{mat_rank,solve_linear}; rebinding the shared function
+# object rewrites the bindings in linalg and in every module importing it
+from .linalg import (  # noqa: F401
+    _bareiss,
+    clear_denominators,
+    dot,
+    mat_det,
+    mat_rank,
+    primitive,
+    solve_linear,
+    vec_gcd,
+)
 from .linprog import LPResult, solve_lp
 
 
-class GeometryError(Exception):
+class GeometryError(LocvolError):
     """Base class for polyhedral kernel failures."""
 
 
@@ -65,88 +80,6 @@ class NotPointed(GeometryError):
 VERTEX_ENUM_MAX_DIM = 8
 
 
-# ---------------------------------------------------------------------------
-# small exact linear algebra: one fraction-free elimination core
-# ---------------------------------------------------------------------------
-
-def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g
-
-
-def primitive(v):
-    """Divide an integer vector by the gcd of its entries."""
-    g = vec_gcd(v)
-    if g == 0:
-        return tuple(0 for _ in v)
-    return tuple(int(x) // g for x in v)
-
-
-def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def clear_denominators(row):
-    """The rational row times the lcm d of its denominators, as ints, and d."""
-    row = [Fraction(x) for x in row]
-    d = lcm(*[x.denominator for x in row])
-    return [x.numerator * (d // x.denominator) for x in row], d
-
-
-def _bareiss(a):
-    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
-
-    Returns (pivot columns, last pivot, sign of the row swaps).  Every entry
-    stays a minor of the input, so each division by the previous pivot is
-    exact (Bareiss 1968).  Afterwards the first r = len(pivot columns) rows
-    are the reduced row echelon form times the last pivot, and the other rows
-    are zero; for a nonsingular square matrix the last pivot is sign * det.
-    """
-    cols, prev, sign = [], 1, 1
-    for c in range(len(a[0]) if a else 0):
-        r = len(cols)
-        if r == len(a):
-            break
-        p = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-            sign = -sign
-        piv, top = a[r][c], a[r]
-        for i, row in enumerate(a):
-            if i != r:
-                f = row[c]
-                a[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
-        cols.append(c)
-        prev = piv
-    return cols, prev, sign
-
-
-def mat_rank(rows) -> int:
-    return len(_bareiss([clear_denominators(r)[0] for r in rows])[0])
-
-
-def mat_det(rows) -> Fraction:
-    scaled = [clear_denominators(r) for r in rows]
-    cols, last, sign = _bareiss([r for r, _ in scaled])
-    if len(cols) < len(scaled):
-        return Fraction(0)
-    return Fraction(sign * last, prod(d for _, d in scaled))
-
-
-def solve_linear(rows, rhs):
-    """Solve a square nonsingular rational system exactly."""
-    n = len(rows)
-    aug = [clear_denominators(list(r) + [b])[0] for r, b in zip(rows, rhs)]
-    cols, last, _ = _bareiss(aug)
-    if cols != list(range(n)):
-        raise ValueError("singular system")
-    return tuple([Fraction(row[n], last) for row in aug])
-
-
 def affine_rank(points) -> int:
     """Dimension of the affine span of a point set."""
     pts = list(points)
@@ -159,6 +92,13 @@ def affine_rank(points) -> int:
 # ---------------------------------------------------------------------------
 # double description: extreme rays of {x : <row, x> >= 0}
 # ---------------------------------------------------------------------------
+
+RAY_LIMIT = 1 << 16  # candidate rays (pos x neg pairs) one DD pass may build
+
+
+class RayBudget(GeometryError):
+    """A double-description pass would build more than RAY_LIMIT candidate rays."""
+
 
 def cone_extreme_rays(rows, dim):
     """Extreme rays and lineality basis of the cone {x : <r, x> >= 0 for all r}.
@@ -212,6 +152,10 @@ def cone_extreme_rays(rows, dim):
         if not pos:
             rays = zer
             continue
+        if len(pos) * len(neg) > RAY_LIMIT:
+            raise RayBudget(f"a double-description pass would pair {len(pos)} with "
+                            f"{len(neg)} rays, over the limit of {RAY_LIMIT} "
+                            f"candidate rays")
         masks = [m for _, m in rays]
         combos = []
         for rp, mp, vp in pos:

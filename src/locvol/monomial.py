@@ -23,21 +23,15 @@ from itertools import accumulate, combinations_with_replacement
 from math import factorial
 from operator import sub
 
-from .geometry import (
-    Polyhedron,
-    _fibre_count,
-    dot,
-    hull_polyhedron,
-    mat_det,
-    solve_linear,
-    volume_of_difference,
-)
+from . import LocvolError
+from .geometry import Polyhedron, _fibre_count, hull_polyhedron, volume_of_difference
+from .linalg import dot, mat_det, solve_linear
 from .toric import PointedCone, _minimal_generators, saturate_region
 
 GENERATOR_LIMIT = 10 ** 6
 
 
-class MonomialError(Exception):
+class MonomialError(LocvolError):
     pass
 
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .geometry import clear_denominators, solve_linear
+from . import LocvolError
+from .linalg import clear_denominators, solve_linear
 from .linprog import INFEASIBLE, LPResult, solve_lp
 
 
-class SurfaceError(Exception):
+class SurfaceError(LocvolError):
     pass
 
 

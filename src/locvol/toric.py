@@ -19,27 +19,26 @@ from fractions import Fraction
 from math import factorial, lcm
 from operator import ge
 
+from . import LocvolError
 from .geometry import (
     Halfspace,
     Polyhedron,
     cone_extreme_rays,
-    dot,
     eliminate_direction,
     hull_polyhedron,
     lattice_difference_counts,
     lattice_points,
-    mat_rank,
     positive_functional,
-    primitive,
     volume_of_difference,
 )
+from .linalg import dot, mat_rank, primitive
 
 BOUNDARY = "boundary"
 FACE_INTERIOR = "face_interior"
 INTERIOR = "interior"
 
 
-class ToricError(Exception):
+class ToricError(LocvolError):
     pass
 
 

@@ -458,36 +458,150 @@ SUBCOMMAND_FIXTURES = [("toric-volume", "tnc.json"), ("toric-h1", "tnc.json"),
                        ("fujita-check", "tnc_fujita.json"),
                        ("convexity-check", "tnc_convexity.json")]
 
-# prints, after each stage, the stage and which of the third-party modules
-# the package must not load are loaded
+# prints, after each stage, the stage, which of the third-party modules the
+# package must not load are loaded, and which locvol modules are loaded; the
+# third-party modules are imported last when the second argument is "all"
 IMPORT_PROBE = """
 import io, json, sys
 def seen(stage):
-    print(json.dumps([stage, [m for m in ("jsonschema", "numpy") if m in sys.modules]]))
+    print(json.dumps([stage, [m for m in ("jsonschema", "numpy") if m in sys.modules],
+                      sorted(m for m in sys.modules if m.partition(".")[0] == "locvol")]))
 import locvol
 seen("import locvol")
 from locvol import cli
 seen("import locvol.cli")
 for sub, path in json.loads(sys.argv[1]):
     seen([sub, cli.run([sub, path], stdout=io.StringIO())])
-import jsonschema, numpy
-seen("import jsonschema, numpy")
+if sys.argv[2] == "all":
+    import jsonschema, numpy
+    seen("import jsonschema, numpy")
 """
+
+
+def import_probe(runs, third_party):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(runs),
+                           "all" if third_party else "none"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
 def test_no_subcommand_loads_numpy_or_jsonschema():
     assert sorted(sub for sub, _ in SUBCOMMAND_FIXTURES) == sorted(SUBCOMMANDS)
     runs = [(sub, fixture(name)) for sub, name in SUBCOMMAND_FIXTURES]
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(runs)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    stages = [json.loads(line) for line in proc.stdout.splitlines()]
+    stages = [stage[:2] for stage in import_probe(runs, third_party=True)]
     expected = [["import locvol", []], ["import locvol.cli", []]]
     expected += [[[sub, 0], []] for sub, _ in SUBCOMMAND_FIXTURES]
     # the probe can see both
     expected.append(["import jsonschema, numpy", ["jsonschema", "numpy"]])
     assert stages == expected
+
+
+CLI_MODULES = ["locvol", "locvol.cli", "locvol.exactnum"]
+# the kernel modules each family of subcommands loads on top of CLI_MODULES:
+# toric calls need no surface or cone layer, and surface and cone calls
+# need no polyhedral kernel (geometry), toric or monomial layer
+FAMILY_MODULES = {
+    "toric": ["geometry", "linalg", "linprog", "toric"],
+    "monomial": ["geometry", "linalg", "linprog", "monomial", "toric"],
+    "surface": ["linalg", "linprog", "surface"],
+    "cone": ["cone", "linalg", "linprog", "surface"],
+}
+SUBCOMMAND_FAMILY = {
+    "toric-volume": "toric", "toric-h1": "toric", "fujita-check": "toric",
+    "convexity-check": "toric", "monomial-mult": "monomial",
+    "surface-volume": "surface", "cone-volume": "cone", "cone-gamma": "cone",
+    "bdff-volume": "cone", "lambda-seq": "cone",
+}
+
+
+@pytest.mark.parametrize("sub, name", SUBCOMMAND_FIXTURES)
+def test_each_subcommand_loads_only_its_family(sub, name):
+    assert sorted(SUBCOMMAND_FAMILY) == sorted(SUBCOMMANDS)
+    family = [f"locvol.{m}" for m in FAMILY_MODULES[SUBCOMMAND_FAMILY[sub]]]
+    assert import_probe([(sub, fixture(name))], third_party=False) == [
+        ["import locvol", [], ["locvol"]],
+        ["import locvol.cli", [], CLI_MODULES],
+        [[sub, 0], [], sorted(CLI_MODULES + family)],
+    ]
+
+
+def test_star_import_binds_every_exported_name():
+    import importlib
+
+    import locvol
+
+    assert len(locvol.__all__) == len(set(locvol.__all__)) == 44
+    names = {}
+    exec("from locvol import *", names)
+    for name in locvol.__all__:
+        obj = names[name]
+        home = importlib.import_module(obj.__module__)
+        assert obj.__module__.startswith("locvol.") and getattr(home, name) is obj, name
+        assert getattr(locvol, name) is obj
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    import locvol
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        locvol.no_such_name
+    assert not hasattr(locvol, "LatticeBudget")  # exported by geometry only
+
+
+ERROR_ROOTS = [("geometry", "GeometryError"), ("toric", "ToricError"),
+               ("monomial", "MonomialError"), ("surface", "SurfaceError"),
+               ("cone", "ConeError")]
+
+
+@pytest.mark.parametrize("module, root", ERROR_ROOTS)
+def test_kernel_errors_exit_3_through_one_root(monkeypatch, result_validator, module, root):
+    import importlib
+
+    from locvol import LocvolError, cli
+
+    base = getattr(importlib.import_module(f"locvol.{module}"), root)
+    assert issubclass(base, LocvolError)
+    failure = type(f"Stubbed{root}", (base,), {})
+
+    def runner(problem, opts):
+        raise failure("stubbed failure")
+
+    monkeypatch.setitem(cli._RUNNERS, "surface-volume", runner)
+    code, out, _ = invoke("surface-volume", fixture("a1.json"))
+    assert code == 3
+    record = json.loads(out)
+    assert record["error"] == {"code": "computation", "name": f"Stubbed{root}",
+                               "message": "stubbed failure"}
+    result_validator.validate(record)
+
+
+def test_value_error_while_building_still_exits_2(monkeypatch):
+    from locvol import cli
+
+    @cli._builder
+    def build(payload):
+        raise ValueError("stubbed payload")
+
+    monkeypatch.setitem(cli._RUNNERS, "surface-volume",
+                        lambda problem, opts: build(problem["payload"]))
+    code, out, _ = invoke("surface-volume", fixture("a1.json"))
+    assert code == 2
+    assert json.loads(out)["error"] == {"code": "validation", "name": "ValidationFailure",
+                                        "message": "stubbed payload"}
+
+
+def test_dd_budget_ends_with_a_record(monkeypatch, result_validator):
+    from locvol import geometry
+
+    monkeypatch.setattr(geometry, "RAY_LIMIT", 1)
+    code, out, _ = invoke("toric-volume", fixture("tnc.json"))
+    assert code == 3
+    record = json.loads(out)
+    assert record["error"]["code"] == "computation"
+    assert record["error"]["name"] == "RayBudget"
+    result_validator.validate(record)
 
 
 def test_packaged_schema_matches_published_copy():

@@ -337,6 +337,21 @@ def test_fibre_budget_is_checked_before_scanning():
         count_lattice_points([((0, 0, 1), 0)], [], [0, 0, 0], [side, side, 1])
 
 
+def test_dd_pass_over_the_ray_budget_raises(monkeypatch):
+    from locvol import geometry
+
+    # cone over the unit square: after the three independent rows, the last
+    # row splits the rays (0,0,1), (1,0,1), (0,1,0) into two positive and one
+    # negative, so its pass builds two candidate rays
+    rows = [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)]
+    monkeypatch.setattr(geometry, "RAY_LIMIT", 2)
+    rays, lin = geometry.cone_extreme_rays(rows, 3)
+    assert sorted(rays) == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)] and lin == []
+    monkeypatch.setattr(geometry, "RAY_LIMIT", 1)
+    with pytest.raises(geometry.RayBudget, match="pair 2 with 1 rays, over the limit of 1"):
+        geometry.cone_extreme_rays(rows, 3)
+
+
 def test_floor_sum_matches_naive_sum():
     from locvol.geometry import _floor_sum
 
@@ -513,7 +528,7 @@ def brute_vertices(p):
     """Oracle: solve every dim-subset of tight constraints, keep feasible."""
     from itertools import combinations
 
-    from locvol.geometry import mat_rank, solve_linear
+    from locvol.linalg import mat_rank, solve_linear
 
     verts = set()
     for sub in combinations(p.halfspaces, p.dim):

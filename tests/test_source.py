@@ -42,6 +42,33 @@ def test_numpy_is_not_imported_at_module_level():
     assert not found, found
 
 
+def _locvol_imports(path):
+    """The locvol modules a package module imports, at any depth of its code."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.partition(".")[0] == "locvol"}
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(f"locvol.{node.module}")
+            else:  # from . import name: a submodule, or a name of the package
+                found |= {f"locvol.{a.name}" if (SRC / f"{a.name}.py").is_file()
+                          else "locvol" for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "locvol":
+            found.add(node.module)
+    return found
+
+
+def test_import_layers():
+    # the layering that lets each subcommand load only its family of modules
+    imports = {path.stem: _locvol_imports(path) for path in SRC.glob("*.py")}
+    assert imports["linalg"] == imports["linprog"] == set()
+    polyhedral = {"locvol.geometry", "locvol.toric", "locvol.monomial"}
+    assert not imports["surface"] & polyhedral, imports["surface"]
+    assert not imports["cone"] & polyhedral, imports["cone"]
+    assert [name for name, found in imports.items() if "locvol.cli" in found] == []
+
+
 def test_benchmark_tracing_targets_resolve():
     # perfbench/tracing.py rebinds these locvol names from outside; a name
     # that no longer resolves turns its metrics null in the benchmark output
