@@ -24,7 +24,7 @@ class LocvolError(Exception):
 _EXPORTS = {
     "exactnum": ("QuadraticNumber", "compare_cbrt_sum", "format_decimal"),
     "geometry": ("Halfspace", "Polyhedron", "VRep", "count_lattice_difference",
-                 "lp_optimize", "project_out", "vertex_enumerate", "volume_bounded",
+                 "lp_optimize", "vertex_enumerate", "volume_bounded",
                  "volume_of_difference"),
     "toric": ("PointedCone", "ToricDatum", "ToricDivisor", "classify_rays",
               "divisor_polyhedra", "effectivity_vanishing_check", "fujita_sequence",

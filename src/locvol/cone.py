@@ -589,12 +589,17 @@ def lambda_sequence(model, m_max: int):
     if not isinstance(model, Curve):
         raise ConeError("lambda sequences need exact section counts "
                         "(curve or projective-space models)")
-    kdeg = 2 * model.genus - 2
+    g, d = model.genus, model.degree
     for m in range(1, m_max + 1):
-        lam = 0
-        k = 1
-        while m * kdeg - k * model.degree >= 0:
-            lam += section_count_curve(model, m * kdeg - k * model.degree)
-            k += 1
+        top = m * (2 * g - 2)  # lambda_m sums h^0 at the degrees x_k = top - k*d
+        last = top // d  # the last k with x_k >= 0
+        if last >= 1 and top - last * d <= 2 * g - 2:
+            # raises SpecialRange unless the curve is in general position,
+            # naming the first x_k in [0, 2g-2]
+            section_count_curve(model, top - max(1, -((2 * g - 2 - top) // d)) * d)
+        # each x_k >= 0 counts max(0, x_k + 1 - g): an arithmetic series up
+        # to the last k with x_k >= g - 1
+        k1 = max(0, (top + 1 - g) // d)
+        lam = k1 * (top + 1 - g) - d * k1 * (k1 + 1) // 2
         out.append((m, lam, Fraction(factorial(n) * lam, m ** n)))
     return out

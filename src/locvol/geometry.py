@@ -5,8 +5,11 @@ linear solves come from the one elimination core in locvol.linalg.
 Vertex enumeration and facet enumeration both run through one
 double-description routine on cones, whose adjacency test is combinatorial:
 a pair of rays is adjacent iff no third ray is tight on all rows both are
-tight on.  A pass that would build more than RAY_LIMIT candidate rays
-raises RayBudget before it builds any.  Volumes of bounded regions come
+tight on.  It is the package's only change of representation: no
+coordinate is eliminated and no row is dropped by LP, so a polyhedron may
+carry rows the others imply, which change no set, volume or count.  A
+pass that would build more than RAY_LIMIT candidate rays raises RayBudget
+before it builds any.  Volumes of bounded regions come
 from a recursive boundary-fan triangulation with exact determinants;
 volumes and lattice-point counts of bounded differences of nested
 unbounded polyhedra are obtained by capping with a halfspace that is
@@ -210,7 +213,10 @@ VRep.__doc__ = "Minimal V-representation: vertices plus extreme recession rays."
 
 
 class Polyhedron:
-    """Immutable rational polyhedron in H-representation."""
+    """Immutable rational polyhedron in H-representation.
+
+    Rows are Halfspaces or pairs (normal, offset), for <normal, x> >= offset.
+    """
 
     def __init__(self, dim: int, halfspaces):
         if dim < 1:
@@ -231,16 +237,6 @@ class Polyhedron:
         self.dim = dim
         self.halfspaces = tuple(Halfspace(n, best[n]) for n in hs)
         self._cache = {}
-
-    @classmethod
-    def from_inequalities(cls, dim, rows):
-        """rows: iterable of (normal, offset) meaning <normal, x> >= offset."""
-        return cls(dim, [Halfspace(tuple(n), b) for n, b in rows])
-
-    @classmethod
-    def orthant(cls, dim):
-        unit = lambda i: tuple(1 if j == i else 0 for j in range(dim))
-        return cls(dim, [Halfspace(unit(i), Fraction(0)) for i in range(dim)])
 
     def __repr__(self):
         return f"Polyhedron(dim={self.dim}, {len(self.halfspaces)} halfspaces)"
@@ -268,12 +264,6 @@ class Polyhedron:
         return Polyhedron(self.dim, list(self.halfspaces) + list(extra))
 
     # -- cached geometry --------------------------------------------------
-
-    def is_empty(self) -> bool:
-        if "empty" not in self._cache:
-            res = solve_lp([0] * self.dim, self.rows())
-            self._cache["empty"] = not res.is_optimal and res.status == "infeasible"
-        return self._cache["empty"]
 
     def vrep(self) -> VRep:
         if "vrep" in self._cache:
@@ -308,22 +298,6 @@ class Polyhedron:
         rec = tuple(sorted(primitive(r) for r in rays))
         self._cache["rec"] = rec
         return rec
-
-    def pruned(self) -> "Polyhedron":
-        """Drop halfspaces implied by the others (one LP per halfspace)."""
-        if self.is_empty():
-            return self
-        keep = list(self.halfspaces)
-        i = 0
-        while i < len(keep):
-            h = keep[i]
-            others = keep[:i] + keep[i + 1:]
-            res = solve_lp(h.normal, [(g.normal, g.offset) for g in others], "min")
-            if res.is_optimal and res.value >= h.offset:
-                keep.pop(i)
-            else:
-                i += 1
-        return Polyhedron(self.dim, keep)
 
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
         """Point-set containment other <= self, decided by LP per halfspace."""
@@ -419,65 +393,6 @@ def _fan_simplices(face, tight, verts, d):
         seen.add(sub)
         for s in _fan_simplices(sub, tight, verts, d - 1):
             yield (apex,) + s
-
-
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination
-# ---------------------------------------------------------------------------
-
-def _fm_rows(rows, coord):
-    """Eliminate one coordinate from integer rows (normal, offset)."""
-    pos, neg, zer = [], [], []
-    for n, b in rows:
-        c = n[coord]
-        if c > 0:
-            pos.append((n, b, c))
-        elif c < 0:
-            neg.append((n, b, c))
-        else:
-            zer.append((n, b))
-    out = [(tuple(x for i, x in enumerate(n) if i != coord), b) for n, b in zer]
-    for np_, bp, cp in pos:
-        for nn, bn, cn in neg:
-            # cp > 0 > cn: (-cn)*pos + cp*neg kills the coordinate
-            n = [-cn * a + cp * b for a, b in zip(np_, nn)]
-            b = -cn * bp + cp * bn
-            n = tuple(x for i, x in enumerate(n) if i != coord)
-            if any(n):
-                out.append((n, b))
-            elif b > 0:
-                out.append((tuple(n), b))  # 0 >= b > 0: infeasible marker
-    return out
-
-
-def project_out(p: Polyhedron, coord: int) -> Polyhedron:
-    """Exact Fourier-Motzkin elimination of one coordinate (dim drops by 1)."""
-    if p.dim < 2:
-        raise ValueError("cannot project below dimension 1")
-    if not 0 <= coord < p.dim:
-        raise ValueError("coordinate out of range")
-    rows = [(h.normal, h.offset) for h in p.halfspaces]
-    out = _fm_rows(rows, coord)
-    infeasible = [r for r in out if not any(r[0])]
-    if infeasible:
-        unit = (1,) + (0,) * (p.dim - 2)
-        return Polyhedron(p.dim - 1, [Halfspace(unit, Fraction(1)),
-                                      Halfspace(tuple(-x for x in unit), Fraction(1))])
-    out = [r for r in out if any(r[0])]
-    if not out:
-        return Polyhedron(p.dim - 1, [])  # projection is all of R^(dim-1)
-    return Polyhedron.from_inequalities(p.dim - 1, out).pruned()
-
-
-def eliminate_direction(p: Polyhedron, direction) -> Polyhedron:
-    """Trace of sliding P along -direction: {x - t*direction : x in P, t >= 0}."""
-    direction = tuple(int(x) for x in direction)
-    rows = []
-    for h in p.halfspaces:
-        rows.append((h.normal + (dot(h.normal, direction),), h.offset))
-    rows.append(((0,) * p.dim + (1,), Fraction(0)))
-    lifted = Polyhedron.from_inequalities(p.dim + 1, rows)
-    return project_out(lifted, p.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ fixed point, which drops the constraints of rays interior to the cone.  The
 local volume is the normalized Euclidean volume of their difference, and
 finite-level data comes from counting lattice points in the scaled regions.
 The Fujita check instead takes the integer hull of each scaled section
-region; one enumeration below Meyer's cap makes that hull exact.
+region; one enumeration below Meyer's cap makes that hull exact.  The hull
+is then saturated by sliding it along the dual rays: each slide is the
+double-description hull of the hull's vertices, its rays and the negated
+ray.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .geometry import (
     Halfspace,
     Polyhedron,
     cone_extreme_rays,
-    eliminate_direction,
+    facets_from_generators,
     hull_polyhedron,
     lattice_difference_counts,
     lattice_points,
@@ -234,12 +237,18 @@ def stable_newton_region(region: Polyhedron, cone: PointedCone) -> Polyhedron:
 def saturate_region(region: Polyhedron, rays, walls) -> Polyhedron:
     """Intersection of the region's slides along the rays, inside the walls.
 
-    Each ray r contributes `eliminate_direction(region, r)`; each wall f
-    contributes <f, x> >= 0.
+    The region is conv(V) + cone(R), pointed and full-dimensional, so its
+    slide along a ray r, the region + cone(-r), is conv(V) + cone(R, -r),
+    and one double description gives exactly the slide's facets.  Each wall
+    f contributes <f, x> >= 0.  A facet of one slide that another slide
+    implies is kept: it changes no set, volume or count.
     """
-    rows = [h for r in rays for h in eliminate_direction(region, r).halfspaces]
+    vr = region.vrep()
+    rows = [h for r in rays
+            for h in facets_from_generators(region.dim, vr.vertices,
+                                            vr.rays + (tuple(-x for x in r),))]
     rows += [Halfspace(f, Fraction(0)) for f in walls]
-    return Polyhedron(region.dim, rows).pruned()
+    return Polyhedron(region.dim, rows)
 
 
 def fujita_sequence(d: ToricDivisor, p_max: int):

@@ -1,7 +1,14 @@
-"""Shared symbolic check: the integrated double-cover volume equals the
-closed form identically, modulo the threshold's defining quadratic relation."""
+"""Shared test references.
+
+A symbolic check that the integrated double-cover volume equals the closed
+form identically, modulo the threshold's defining quadratic relation; and
+Fourier-Motzkin elimination, the independent reference for the
+double-description slides of `locvol.toric.saturate_region`.
+"""
 
 from fractions import Fraction as F
+
+from locvol.geometry import Halfspace, Polyhedron
 
 
 def _poly(**mono):
@@ -49,3 +56,30 @@ def abelian_closed_form_identity_holds() -> bool:
         shifted = _mul(lead, {(0, 0, 0, k - 2): F(1)})
         diff = _add(_mul(diff, _poly(l2=1)), _scale(_mul(shifted, relation), F(-1)))
     return not diff
+
+
+def fm_project_out(p, coord):
+    """Fourier-Motzkin elimination of one coordinate, without pruning."""
+    rows = [(h.normal, h.offset) for h in p.halfspaces if h.normal[coord] == 0]
+    for hp in p.halfspaces:
+        for hn in p.halfspaces:
+            cp, cn = hp.normal[coord], -hn.normal[coord]
+            if cp > 0 and cn > 0:  # cn*hp + cp*hn kills the coordinate
+                rows.append(([cn * a + cp * b for a, b in zip(hp.normal, hn.normal)],
+                             cn * hp.offset + cp * hn.offset))
+    out = []
+    for normal, offset in rows:
+        normal = tuple(x for i, x in enumerate(normal) if i != coord)
+        if any(normal):
+            out.append(Halfspace(normal, offset))
+        elif offset > 0:
+            raise ValueError("the projection is empty")
+    return Polyhedron(p.dim - 1, out)
+
+
+def fm_slide(p, direction):
+    """{x - t*direction : x in p, t >= 0}: lift by t, then eliminate t."""
+    rows = [Halfspace(h.normal + (sum(a * b for a, b in zip(h.normal, direction)),),
+                      h.offset) for h in p.halfspaces]
+    rows.append(Halfspace((0,) * p.dim + (1,), F(0)))
+    return fm_project_out(Polyhedron(p.dim + 1, rows), p.dim)

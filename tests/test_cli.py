@@ -126,6 +126,26 @@ def test_lambda_seq(tmp_path, result_validator):
     result_validator.validate(record)
 
 
+def test_lambda_seq_of_a_high_genus_curve_is_fast(tmp_path, result_validator):
+    # each level is a closed-form sum, not one term per degree
+    path = write_problem(tmp_path, {
+        "kind": "cone",
+        "payload": {"model": {"type": "curve", "genus": 10 ** 9, "degree": 1,
+                              "general_position": True}},
+    })
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "locvol.cli", "lambda-seq", path, "--m-max", "1000"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stdout
+    record = json.loads(proc.stdout)
+    result_validator.validate(record)
+    # at m = 1 the degrees 2g-3, ..., 0 count g-2, ..., 0 sections
+    g = 10 ** 9
+    assert record["sequences"]["rows"][0][1] == (g - 1) * (g - 2) // 2
+
+
 def test_surface_divisor_volume(tmp_path):
     path = write_problem(tmp_path, {
         "kind": "surface",
@@ -532,7 +552,7 @@ def test_star_import_binds_every_exported_name():
 
     import locvol
 
-    assert len(locvol.__all__) == len(set(locvol.__all__)) == 44
+    assert len(locvol.__all__) == len(set(locvol.__all__)) == 43
     names = {}
     exec("from locvol import *", names)
     for name in locvol.__all__:

@@ -15,6 +15,7 @@ from locvol.cone import (
     cone_singularity_volume,
     lambda_sequence,
     psef_threshold_anticanonical,
+    section_count_curve,
     volume_function,
 )
 from locvol.exactnum import QuadraticNumber
@@ -280,6 +281,36 @@ def test_lambda_special_range_gate():
     # far from the special range everything is Riemann-Roch regardless of flag
     seq = lambda_sequence(Curve(2, 5, general_position=True), 3)
     assert seq[0][1] == 0
+
+
+def _lambda_term_sums(model, m_max):
+    """Oracle: lambda_m summed term by term over k >= 1."""
+    kdeg, out = 2 * model.genus - 2, []
+    for m in range(1, m_max + 1):
+        lam, k = 0, 1
+        while m * kdeg - k * model.degree >= 0:
+            lam += section_count_curve(model, m * kdeg - k * model.degree)
+            k += 1
+        out.append(lam)
+    return out
+
+
+def test_lambda_closed_form_matches_term_sums():
+    gated = 0
+    for genus in range(9):
+        for degree in range(1, 12):
+            for flag in (False, True):
+                model = Curve(genus, degree, general_position=flag)
+                try:
+                    expected = _lambda_term_sums(model, 12)
+                except SpecialRange as exc:
+                    with pytest.raises(SpecialRange) as info:
+                        lambda_sequence(model, 12)
+                    assert str(info.value) == str(exc)
+                    gated += 1
+                    continue
+                assert [lam for _, lam, _ in lambda_sequence(model, 12)] == expected
+    assert gated >= 70
 
 
 def test_lambda_converges_to_volume():

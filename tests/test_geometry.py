@@ -12,18 +12,19 @@ from locvol.geometry import (
     RecessionMismatch,
     Unbounded,
     count_lattice_difference,
-    eliminate_direction,
     hull_polyhedron,
     lp_optimize,
-    project_out,
     vertex_enumerate,
     volume_bounded,
     volume_of_difference,
 )
+from locvol.toric import saturate_region
+
+from _identities import fm_project_out
 
 
 def poly(dim, rows):
-    return Polyhedron.from_inequalities(dim, rows)
+    return Polyhedron(dim, rows)
 
 
 def unit_square():
@@ -95,7 +96,8 @@ def test_empty_and_cap_errors():
     with pytest.raises(EmptyPolyhedron):
         vertex_enumerate(poly(1, [((1,), 1), ((-1,), 0)]))
     with pytest.raises(DimensionCap):
-        vertex_enumerate(Polyhedron.orthant(9))
+        vertex_enumerate(poly(9, [(tuple(int(j == i) for j in range(9)), 0)
+                                 for i in range(9)]))
 
 
 # -- volumes -----------------------------------------------------------------
@@ -486,26 +488,26 @@ def test_h1_sequence_matches_per_level_counts(family):
 
 def test_project_triangle():
     p = poly(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)])
-    q = project_out(p, 0)
+    q = fm_project_out(p, 0)
     assert q.same_set(poly(1, [((1,), 0), ((-1,), -1)]))
 
 
 def test_project_staircase_hull():
-    q = project_out(staircase_hull(), 1)
+    q = fm_project_out(staircase_hull(), 1)
     assert q.same_set(poly(1, [((1,), 1)]))
 
 
 def test_project_b_body():
-    q = project_out(b_body(F(3, 2)), 2)
+    q = fm_project_out(b_body(F(3, 2)), 2)
     assert q.same_set(poly(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), F(-3, 2))]))
 
 
-def test_eliminate_direction_slide():
+def test_saturate_region_slide():
     p = staircase_hull()
     # sliding along -x relaxes every x-positive constraint: only y >= 0 is left
-    assert eliminate_direction(p, (1, 0)).same_set(poly(2, [((0, 1), 0)]))
+    assert saturate_region(p, [(1, 0)], ()).same_set(poly(2, [((0, 1), 0)]))
     # sliding along -y leaves exactly the x >= 1 wall
-    assert eliminate_direction(p, (0, 1)).same_set(poly(2, [((1, 0), 1)]))
+    assert saturate_region(p, [(0, 1)], ()).same_set(poly(2, [((1, 0), 1)]))
 
 
 def test_lp_optimize_wrapper():
@@ -513,13 +515,6 @@ def test_lp_optimize_wrapper():
     assert res.is_optimal and res.value == F(3, 2)
     res = lp_optimize((1, 0), staircase_hull(), "min")
     assert res.value == 1
-
-
-def test_pruning_keeps_point_set():
-    p = poly(2, [((1, 0), 0), ((0, 1), 0), ((1, 1), 0), ((2, 1), -1)])
-    q = p.pruned()
-    assert len(q.halfspaces) == 2
-    assert q.same_set(p)
 
 
 # -- independent cross-checks ------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from locvol.geometry import FIBRE_LIMIT, Halfspace, LatticeBudget, Polyhedron, project_out
+from locvol.geometry import FIBRE_LIMIT, Halfspace, LatticeBudget, Polyhedron
 from locvol.monomial import (
     GeneratorBlowup,
     MonomialIdeal,
@@ -19,6 +19,8 @@ from locvol.monomial import (
     saturation,
 )
 from locvol.toric import PointedCone
+
+from _identities import fm_project_out
 
 
 def ideal(*gens):
@@ -144,7 +146,7 @@ def _lifted_shadows(ideal):
     region, n = ideal.newton_region(), ideal.dim
     rows = []
     for i in range(n):
-        for h in project_out(region, i).halfspaces:
+        for h in fm_project_out(region, i).halfspaces:
             rows.append(Halfspace(h.normal[:i] + (0,) + h.normal[i:], h.offset))
     rows += [Halfspace(tuple(int(j == i) for j in range(n)), F(0)) for i in range(n)]
     return Polyhedron(n, rows)

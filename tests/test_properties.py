@@ -89,7 +89,7 @@ def test_volume_homogeneity_random_simplices():
     for _ in range(10):
         t = F(rng.randint(1, 12), rng.randint(1, 4))
         rows = [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -t)]
-        p = Polyhedron.from_inequalities(3, rows)
+        p = Polyhedron(3, rows)
         base = volume_bounded(p)
         for m in (2, F(3, 2)):
             assert volume_bounded(p.scaled(m)) == F(m) ** 3 * base

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "locvol"
@@ -67,6 +68,37 @@ def test_import_layers():
     assert not imports["surface"] & polyhedral, imports["surface"]
     assert not imports["cone"] & polyhedral, imports["cone"]
     assert [name for name, found in imports.items() if "locvol.cli" in found] == []
+
+
+def _names_used(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.asname or sub.name
+
+
+# _staircase_mask is a perfbench/tracing.py target and the tests' dense
+# staircase reference until it moves out of the package (ROADMAP items 5, 6)
+UNCALLED_PRIVATE = {"monomial._staircase_mask"}
+
+
+def test_no_uncalled_private_functions():
+    # a private module-level function nothing in the package refers to is dead
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    uses = Counter(name for tree in trees.values() for name in _names_used(tree))
+    dead = {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and uses[node.name] == Counter(_names_used(node))[node.name]
+    }
+    assert dead == UNCALLED_PRIVATE, dead
 
 
 def test_benchmark_tracing_targets_resolve():

@@ -7,6 +7,7 @@ from locvol.exactnum import compare_cbrt_sum
 from locvol.geometry import (
     Halfspace,
     LatticeBudget,
+    Polyhedron,
     dot,
     hull_polyhedron,
     lattice_points,
@@ -28,9 +29,13 @@ from locvol.toric import (
     fujita_sequence,
     h1_sequence,
     local_volume_toric,
+    saturate_region,
     stable_newton_region,
     _minimal_generators,
 )
+from locvol.monomial import MonomialIdeal, saturated_newton_region
+
+from _identities import fm_slide
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +100,7 @@ def test_difference_body_matches_fixture(tnc_datum):
     from locvol.geometry import Polyhedron
 
     sections, punctured = divisor_polyhedra(tnc_divisor(tnc_datum, F(3, 2)))
-    body = Polyhedron.from_inequalities(
+    body = Polyhedron(
         3,
         [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((1, 0, -2), -2),
          ((1, 1, 1), F(3, 2))],
@@ -305,6 +310,64 @@ def test_meyer_hull_matches_larger_caps(tnc_datum):
         assert hull.same_set(_hull_below(region, cone, max(2 * cap, cap + width)))
         assert hull.same_set(_hull_below(region, cone, 3 * abs(top) + 3 * width + 10))
     assert nonpositive_tops >= 3
+
+
+def _reflected(d, signs):
+    """The same divisor in the frame whose coordinates are multiplied by signs."""
+    flip = lambda v: tuple(s * x for s, x in zip(signs, v))
+    cone = PointedCone([flip(g) for g in d.datum.cone.generators])
+    return ToricDivisor(ToricDatum(cone, [flip(r) for r in d.datum.rays]), d.coeffs)
+
+
+def _fm_saturation(region, rays, walls):
+    """Reference saturation: the Fourier-Motzkin slides, inside the walls."""
+    rows = [h for r in rays for h in fm_slide(region, r).halfspaces]
+    rows += [Halfspace(f, F(0)) for f in walls]
+    return Polyhedron(region.dim, rows)
+
+
+def test_saturation_matches_fourier_motzkin_on_fujita_regions(tnc_datum):
+    """Differential: double-description slides against Fourier-Motzkin ones."""
+    square = PointedCone([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+    square_datum = ToricDatum(square, list(square.generators) + [(0, 0, 1), (1, 0, 2)])
+    rng = random.Random(37)
+    divisors = [tnc_divisor(tnc_datum, t) for t in (F(1, 2), 1, F(3, 2), 2)]
+    divisors += [_random_simplicial_divisor(rng) for _ in range(8)]
+    divisors += [ToricDivisor(square_datum, [F(rng.randint(-3, 3), rng.randint(1, 2))
+                                             for _ in range(6)]) for _ in range(6)]
+    strict = 0
+    for d in divisors:
+        d = _reflected(d, [rng.choice((1, -1)) for _ in range(3)])
+        cone = d.datum.cone
+        newton = stable_newton_region(divisor_polyhedra(d)[0], cone)
+        saturated = saturate_region(newton, cone.facets, ())
+        assert saturated.same_set(_fm_saturation(newton, cone.facets, ())), d.coeffs
+        strict += not saturated.same_set(newton)
+    assert strict >= 10
+
+
+def test_saturation_matches_fourier_motzkin_on_cone_ambients():
+    cones = [PointedCone([(1, 0), (1, 2)]), PointedCone([(1, 0), (-1, 3)]),
+             PointedCone([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+             PointedCone([(1, 0, 0), (1, 2, 0), (0, 1, 3)])]
+    rng = random.Random(41)
+    strict = 0
+    for cone in cones:
+        for _ in range(8):
+            # multiples of most extreme rays, so most ideals are primary
+            rays = cone.extreme_rays
+            gens = [tuple(k * x for x in r)
+                    for r, k in zip(rays, rng.choices(range(5), k=len(rays))) if k]
+            while len(gens) < 4:
+                u = tuple(rng.randint(-4, 6) for _ in range(cone.dim))
+                if cone.contains(u):
+                    gens.append(u)
+            ideal = MonomialIdeal(gens, ambient=cone)
+            region = ideal.newton_region()
+            saturated = saturated_newton_region(ideal)
+            assert saturated.same_set(_fm_saturation(region, ideal.rays, ideal.facets)), gens
+            strict += not saturated.same_set(region)
+    assert strict >= 24
 
 
 def _brute_minimal(points, cone):
