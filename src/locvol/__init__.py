@@ -2,9 +2,11 @@
 
 Everything is computed in exact arithmetic: rational numbers throughout,
 with real quadratic irrationals where pseudo-effective thresholds demand
-them.  The toric, monomial, surface, and cone layers sit on a rational
-polyhedral kernel (vertex/facet enumeration, exact LP, volumes and lattice
-counts of bounded differences of nested polyhedra).
+them.  The toric and monomial layers sit on a rational polyhedral kernel
+(vertex/facet enumeration by double description, volumes and lattice
+counts of bounded differences of nested polyhedra); the surface and cone
+layers on exact linear algebra and one exact LP for pseudo-effective
+cones.
 
 Importing the package loads no submodule: each exported name is imported
 from its home module on first access (PEP 562), so a caller compiles only
@@ -24,8 +26,7 @@ class LocvolError(Exception):
 _EXPORTS = {
     "exactnum": ("QuadraticNumber", "compare_cbrt_sum", "format_decimal"),
     "geometry": ("Halfspace", "Polyhedron", "VRep", "count_lattice_difference",
-                 "lp_optimize", "vertex_enumerate", "volume_bounded",
-                 "volume_of_difference"),
+                 "vertex_enumerate", "volume_bounded", "volume_of_difference"),
     "toric": ("PointedCone", "ToricDatum", "ToricDivisor", "classify_rays",
               "divisor_polyhedra", "effectivity_vanishing_check", "fujita_sequence",
               "h1_sequence", "local_volume_toric"),

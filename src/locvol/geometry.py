@@ -5,15 +5,16 @@ linear solves come from the one elimination core in locvol.linalg.
 Vertex enumeration and facet enumeration both run through one
 double-description routine on cones, whose adjacency test is combinatorial:
 a pair of rays is adjacent iff no third ray is tight on all rows both are
-tight on.  It is the package's only change of representation: no
-coordinate is eliminated and no row is dropped by LP, so a polyhedron may
-carry rows the others imply, which change no set, volume or count.  A
-pass that would build more than RAY_LIMIT candidate rays raises RayBudget
-before it builds any.  Volumes of bounded regions come
+tight on.  It is the kernel's only polyhedral algorithm: no coordinate is
+eliminated, no row is dropped and no linear program is solved, so a
+polyhedron may carry rows the others imply, which change no set, volume
+or count.  A pass that would build more than RAY_LIMIT candidate rays
+raises RayBudget before it builds any.  Volumes of bounded regions come
 from a recursive boundary-fan triangulation with exact determinants;
 volumes and lattice-point counts of bounded differences of nested
 unbounded polyhedra are obtained by capping with a halfspace that is
-strictly positive on the common recession cone.
+strictly positive on the common recession cone, at a height read off the
+vertices of bounded pieces.
 
 Lattice points are found by one slice scan on Python ints.  A slice fixes
 the first n-2 coordinates; in the plane left over, every row is a line
@@ -33,7 +34,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from math import factorial, gcd, ceil, floor, prod
+from math import factorial, ceil, floor, prod
 
 from . import LocvolError
 # solve_linear is bound here, unused, because perfbench/tracing.py targets
@@ -49,7 +50,6 @@ from .linalg import (  # noqa: F401
     solve_linear,
     vec_gcd,
 )
-from .linprog import LPResult, solve_lp
 
 
 class GeometryError(LocvolError):
@@ -288,30 +288,6 @@ class Polyhedron:
         self._cache["vrep"] = vr
         return vr
 
-    def recession_rays(self) -> tuple[tuple[int, ...], ...]:
-        """Extreme rays of the recession cone (must be pointed)."""
-        if "rec" in self._cache:
-            return self._cache["rec"]
-        rays, lin = cone_extreme_rays([h.normal for h in self.halfspaces], self.dim)
-        if lin:
-            raise NotPointed("recession cone contains a line")
-        rec = tuple(sorted(primitive(r) for r in rays))
-        self._cache["rec"] = rec
-        return rec
-
-    def contains_polyhedron(self, other: "Polyhedron") -> bool:
-        """Point-set containment other <= self, decided by LP per halfspace."""
-        for h in self.halfspaces:
-            res = solve_lp(h.normal, other.rows(), "min")
-            if res.status == "infeasible":
-                return True
-            if res.status == "unbounded" or res.value < h.offset:
-                return False
-        return True
-
-    def same_set(self, other: "Polyhedron") -> bool:
-        return self.contains_polyhedron(other) and other.contains_polyhedron(self)
-
 
 # ---------------------------------------------------------------------------
 # conversions
@@ -399,26 +375,27 @@ def _fan_simplices(face, tight, verts, d):
 # bounded differences of nested polyhedra
 # ---------------------------------------------------------------------------
 
-def lp_optimize(objective, p: Polyhedron, sense: str = "max") -> LPResult:
-    """Exact optimum of a linear functional over a polyhedron."""
-    return solve_lp(objective, p.rows(), sense)
-
-
 def positive_functional(rec_rays, dim):
-    """Integer w with <w, r> > 0 on every recession ray, preferring sum of rays."""
+    """Integer w with <w, r> > 0 on every recession ray, preferring sum of rays.
+
+    Otherwise w is the sum of the extreme rays of the dual cone
+    {x : <r, x> >= 0 for all r}, from double description.  Each of them is
+    >= 0 on every r, so <w, r> = 0 only if r is orthogonal to all of them;
+    r lies in the span of the rays, so it is orthogonal to the dual's
+    lineality space too, and hence to the whole dual cone.  The dual of a
+    pointed cone is full-dimensional, even when the cone is not, so then
+    no nonzero r is orthogonal to it and w is strictly positive.  A cone
+    that is not pointed has no positive functional at all.
+    """
     w = tuple(sum(r[i] for r in rec_rays) for i in range(dim))
     if all(dot(w, r) > 0 for r in rec_rays):
         return w
-    # skew recession cone: any interior point of the dual cone works
-    rows = [(r, Fraction(1)) for r in rec_rays]
-    res = solve_lp([0] * dim, rows)
-    if not res.is_optimal:
+    # skew recession cone: the sum of the dual's extreme rays is interior
+    dual, _ = cone_extreme_rays(rec_rays, dim)
+    w = tuple(sum(u[i] for u in dual) for i in range(dim))
+    if not all(dot(w, r) > 0 for r in rec_rays):
         raise NotPointed("recession cone admits no positive functional")
-    fr = [Fraction(x) for x in res.point]
-    lcm = 1
-    for x in fr:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    return primitive([int(x * lcm) for x in fr])
+    return w
 
 
 def _check_nested(inner: Polyhedron, outer: Polyhedron):
@@ -432,40 +409,40 @@ def _check_nested(inner: Polyhedron, outer: Polyhedron):
         for h in outer.halfspaces:
             if dot(h.normal, r) < 0:
                 raise NotNested(f"inner ray {r} escapes the outer polyhedron")
-    rec_in, rec_out = inner.recession_rays(), outer.recession_rays()
-    if set(rec_in) != set(rec_out):
+    rec = outer.vrep().rays
+    if set(vr.rays) != set(rec):
         raise RecessionMismatch(
             "recession cones differ; the difference would have infinite volume"
         )
-    return rec_out
+    return rec
 
 
 def _difference_cap(inner: Polyhedron, outer: Polyhedron):
     """Capping data (w, c) covering outer \\ inner, or None if difference empty.
 
     w is strictly positive on the common recession cone and c exceeds the
-    w-value of every point of the difference.
+    w-value of every point of the difference.  An inner halfspace h is
+    nonnegative on that cone, so outer escapes it only if some vertex of
+    outer does.  Then outer n {not h} is bounded, h being strictly positive
+    on the cone, and w is largest there at one of its vertices.
     """
     rec = _check_nested(inner, outer)
     if not rec:
         return None  # both bounded; no cap needed
     w = positive_functional(rec, inner.dim)
+    outer_vertices = outer.vrep().vertices
     best = None
     for h in inner.halfspaces:
-        low = solve_lp(h.normal, outer.rows(), "min")
-        if low.is_optimal and low.value >= h.offset:
+        if all(h.holds(v) for v in outer_vertices):
             continue  # outer satisfies this constraint; nothing escapes here
         if not all(dot(h.normal, r) > 0 for r in rec):
             raise Unbounded(
                 "difference region is unbounded (violated halfspace is not "
                 "strictly positive on the recession cone)"
             )
-        rows = outer.rows()
-        rows.append((tuple(-x for x in h.normal), -h.offset))
-        res = solve_lp(w, rows, "max")
-        if res.status != "optimal":
-            raise GeometryError("capping LP failed unexpectedly")
-        best = res.value if best is None else max(best, res.value)
+        piece = outer.intersect(Halfspace(tuple(-x for x in h.normal), -h.offset))
+        top = max(dot(w, v) for v in piece.vrep().vertices)
+        best = top if best is None else max(best, top)
     if best is None:
         return None
     return (w, best + 1)
@@ -479,7 +456,7 @@ def volume_of_difference(inner: Polyhedron, outer: Polyhedron) -> Fraction:
     """Exact volume of outer \\ inner for nested polyhedra with equal recession."""
     cap = _difference_cap(inner, outer)
     if cap is None:
-        if inner.recession_rays():
+        if inner.vrep().rays:
             return Fraction(0)
         return volume_bounded(outer) - volume_bounded(inner)
     w, c = cap
@@ -704,7 +681,7 @@ def lattice_difference_counts(inner: Polyhedron, outer: Polyhedron, scales):
     an increasing sequence of positive integers.
 
     The geometry is built once, at scale 1.  Nestedness, the recession rays
-    and w do not depend on m, and every capping-LP value scales linearly:
+    and w do not depend on m, and every cap value scales linearly:
     the level-m difference has w <= m*best, where best bounds w on the
     scale-1 difference.  So m times the vertex box of outer n {w <= best}
     holds every level's difference, and any box that does gives the same
@@ -716,7 +693,7 @@ def lattice_difference_counts(inner: Polyhedron, outer: Polyhedron, scales):
         raise ValueError("scale must be a positive integer")
     cap = _difference_cap(inner, outer)
     if cap is None:
-        if inner.recession_rays():
+        if inner.vrep().rays:
             return [0] * len(scales)
         region = outer
     else:

@@ -12,7 +12,7 @@ The length of a saturation quotient is summed over fibres: a staircase is
 a height function over the prefixes of its exponents, so the length is the
 sum of the height differences of ideal and saturation, on Python ints.  Its
 prefix grid shares the lattice scans' FIBRE_LIMIT budget, and nothing in
-this module loads numpy except the dense reference mask the tests use.
+this module loads numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from math import factorial
-from operator import sub
+from operator import ge, sub
 
 from . import LocvolError
 from .geometry import Polyhedron, _fibre_count, hull_polyhedron, volume_of_difference
@@ -162,15 +162,12 @@ def saturation(ideal: MonomialIdeal) -> MonomialIdeal:
 
 
 def _staircase_mask(pts, gens):
-    """Boolean membership of integer points in the ideal of the generators.
+    """Membership of integer points in the ideal of the generators, one bool
+    per point: some generator is componentwise <= it.
 
-    Dense and vectorised; the tests count colengths with it as the
-    reference for `h1_dim`.
+    The tests count colengths with it as the reference for `h1_dim`.
     """
-    import numpy as np
-    a = np.asarray(pts, dtype=np.int64)
-    g = np.asarray(gens, dtype=np.int64)
-    return (a[:, None, :] >= g[None, :, :]).all(axis=2).any(axis=1)
+    return [any(all(map(ge, pt, g)) for g in gens) for pt in pts]
 
 
 def _running_min(row, side, strides):

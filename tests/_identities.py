@@ -1,14 +1,18 @@
 """Shared test references.
 
 A symbolic check that the integrated double-cover volume equals the closed
-form identically, modulo the threshold's defining quadratic relation; and
+form identically, modulo the threshold's defining quadratic relation;
 Fourier-Motzkin elimination, the independent reference for the
-double-description slides of `locvol.toric.saturate_region`.
+double-description slides of `locvol.toric.saturate_region`; and the
+exact simplex, the independent reference for set equality and for the
+capping values and positive functionals that `locvol.geometry` takes from
+double description.
 """
 
 from fractions import Fraction as F
 
 from locvol.geometry import Halfspace, Polyhedron
+from locvol.linprog import solve_lp
 
 
 def _poly(**mono):
@@ -83,3 +87,40 @@ def fm_slide(p, direction):
                       h.offset) for h in p.halfspaces]
     rows.append(Halfspace((0,) * p.dim + (1,), F(0)))
     return fm_project_out(Polyhedron(p.dim + 1, rows), p.dim)
+
+
+def contains_polyhedron(outer, inner):
+    """Point-set containment inner <= outer, decided by one LP per halfspace."""
+    for h in outer.halfspaces:
+        res = solve_lp(h.normal, inner.rows(), "min")
+        if res.status == "infeasible":
+            return True
+        if res.status == "unbounded" or res.value < h.offset:
+            return False
+    return True
+
+
+def same_set(p, q):
+    return contains_polyhedron(p, q) and contains_polyhedron(q, p)
+
+
+def lp_cap(inner, outer, w):
+    """The cap w <= c over outer minus inner, by two LPs per inner halfspace:
+    one plus the largest LP value of w over outer n {not h}, for the
+    halfspaces h whose minimum over outer falls below their offset; None
+    when there are none."""
+    best = None
+    for h in inner.halfspaces:
+        low = solve_lp(h.normal, outer.rows(), "min")
+        if low.is_optimal and low.value >= h.offset:
+            continue
+        res = solve_lp(w, outer.rows() + [(tuple(-x for x in h.normal), -h.offset)], "max")
+        if not res.is_optimal:
+            raise ValueError(f"capping LP is {res.status}")
+        best = res.value if best is None else max(best, res.value)
+    return None if best is None else best + 1
+
+
+def lp_has_positive_functional(rays, dim):
+    """Whether some w has <w, r> >= 1 on every ray: LP feasibility."""
+    return solve_lp([0] * dim, [(r, F(1)) for r in rays]).is_optimal

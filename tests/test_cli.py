@@ -498,8 +498,8 @@ if sys.argv[2] == "all":
 """
 
 
-def import_probe(runs, third_party):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def import_probe(runs, third_party, path=()):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), *map(str, path)]))
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(runs),
                            "all" if third_party else "none"],
                           capture_output=True, text=True, env=env, timeout=120)
@@ -507,10 +507,12 @@ def import_probe(runs, third_party):
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
-def test_no_subcommand_loads_numpy_or_jsonschema():
+def test_no_subcommand_loads_numpy_or_jsonschema(tmp_path):
     assert sorted(sub for sub, _ in SUBCOMMAND_FIXTURES) == sorted(SUBCOMMANDS)
     runs = [(sub, fixture(name)) for sub, name in SUBCOMMAND_FIXTURES]
-    stages = [stage[:2] for stage in import_probe(runs, third_party=True)]
+    # numpy is no test dependency: the probe's own path carries a stub of it
+    (tmp_path / "numpy.py").write_text('"""Stub: the probe only checks that it is seen."""\n')
+    stages = [stage[:2] for stage in import_probe(runs, third_party=True, path=[tmp_path])]
     expected = [["import locvol", []], ["import locvol.cli", []]]
     expected += [[[sub, 0], []] for sub, _ in SUBCOMMAND_FIXTURES]
     # the probe can see both
@@ -523,8 +525,8 @@ CLI_MODULES = ["locvol", "locvol.cli", "locvol.exactnum"]
 # toric calls need no surface or cone layer, and surface and cone calls
 # need no polyhedral kernel (geometry), toric or monomial layer
 FAMILY_MODULES = {
-    "toric": ["geometry", "linalg", "linprog", "toric"],
-    "monomial": ["geometry", "linalg", "linprog", "monomial", "toric"],
+    "toric": ["geometry", "linalg", "toric"],
+    "monomial": ["geometry", "linalg", "monomial", "toric"],
     "surface": ["linalg", "linprog", "surface"],
     "cone": ["cone", "linalg", "linprog", "surface"],
 }
@@ -552,7 +554,7 @@ def test_star_import_binds_every_exported_name():
 
     import locvol
 
-    assert len(locvol.__all__) == len(set(locvol.__all__)) == 43
+    assert len(locvol.__all__) == len(set(locvol.__all__)) == 42
     names = {}
     exec("from locvol import *", names)
     for name in locvol.__all__:

@@ -8,19 +8,24 @@ from locvol.geometry import (
     EmptyPolyhedron,
     DimensionCap,
     NotNested,
+    NotPointed,
     Polyhedron,
     RecessionMismatch,
     Unbounded,
+    _difference_cap,
     count_lattice_difference,
+    dot,
     hull_polyhedron,
-    lp_optimize,
+    mat_rank,
+    positive_functional,
+    primitive,
     vertex_enumerate,
     volume_bounded,
     volume_of_difference,
 )
 from locvol.toric import saturate_region
 
-from _identities import fm_project_out
+from _identities import fm_project_out, lp_cap, lp_has_positive_functional, same_set
 
 
 def poly(dim, rows):
@@ -81,7 +86,7 @@ def test_vertex_enumeration_roundtrip():
     p = b_body(F(3, 2))
     vr = p.vrep()
     q = hull_polyhedron(3, vr.vertices, vr.rays)
-    assert p.same_set(q)
+    assert same_set(p, q)
 
 
 def test_roundtrip_unbounded():
@@ -89,7 +94,7 @@ def test_roundtrip_unbounded():
     vr = p.vrep()
     assert set(vr.vertices) == {(F(1), F(3)), (F(3), F(0))}
     assert set(vr.rays) == {(1, 0), (0, 1)}
-    assert p.same_set(hull_polyhedron(2, vr.vertices, vr.rays))
+    assert same_set(p, hull_polyhedron(2, vr.vertices, vr.rays))
 
 
 def test_empty_and_cap_errors():
@@ -198,6 +203,58 @@ def test_difference_additivity():
     assert volume_bounded(outer.intersect(h)) == (
         volume_bounded(inner.intersect(h)) + volume_of_difference(inner, outer)
     )
+
+
+def skew_pairs():
+    """Nested pairs whose recession cone cone((1,0), (-1,1)) has a ray sum
+    (0, 1) that vanishes on (1, 0): in the plane, and as a lower-dimensional
+    cone of a slab in space.  The inner one adds x + 2y >= 1."""
+    plane = poly(2, [((0, 1), 0), ((1, 1), 0)])
+    slab = poly(3, [((0, 1, 0), 0), ((1, 1, 0), 0), ((0, 0, 1), 0), ((0, 0, -1), -1)])
+    return [(p.intersect(((1, 2) + (0,) * (p.dim - 2), 1)), p) for p in (plane, slab)]
+
+
+def test_skew_recession_cones_cap_like_the_lp():
+    for inner, outer in skew_pairs():
+        rays = outer.vrep().rays
+        ray_sum = [sum(c) for c in zip(*rays)]
+        assert not all(dot(ray_sum, r) > 0 for r in rays)
+        w, c = _difference_cap(inner, outer)
+        assert all(dot(w, r) > 0 for r in rays)
+        assert c == lp_cap(inner, outer, w)
+        # the difference is the triangle (0,0), (1,0), (-1,1), times [0,1] in space
+        assert volume_of_difference(inner, outer) == F(1, 2)
+        for m in (1, 2):
+            assert count_lattice_difference(inner, outer, m) == brute_count(inner, outer, m)
+
+
+def test_positive_functional_matches_lp_feasibility():
+    """Differential: the double-description functional exists exactly when
+    the LP {<r, w> >= 1} is feasible, and is then positive on every ray."""
+    rng = random.Random(53)
+    ray_sets = [[(1, 0), (-1, 0)], [(1, 0, 0), (-1, 0, 0), (0, 1, 0)],
+                [(1, 0, 0), (-1, 1, 0)], [(1, 2, 0, 0), (-1, -1, 1, 0)],
+                [(1, 0), (0, 1), (-1, -1)]]
+    while len(ray_sets) < 400:
+        dim = rng.randint(2, 4)
+        rays = {primitive([rng.randint(-3, 3) for _ in range(dim)])
+                for _ in range(rng.randint(1, dim + 2))}
+        ray_sets.append(sorted(r for r in rays if any(r)))
+    fallback = not_pointed = lower = 0
+    for rays in ray_sets:
+        dim = len(rays[0])
+        feasible = lp_has_positive_functional(rays, dim)
+        try:
+            w = positive_functional(rays, dim)
+        except NotPointed:
+            assert not feasible, rays
+            not_pointed += 1
+            continue
+        assert feasible and all(dot(w, r) > 0 for r in rays), rays
+        fallback += not all(dot([sum(c) for c in zip(*rays)], r) > 0 for r in rays)
+        lower += mat_rank(rays) < dim
+    assert fallback >= 80 and not_pointed >= 30 and lower >= 100, (
+        fallback, not_pointed, lower)
 
 
 # -- lattice counting --------------------------------------------------------
@@ -474,7 +531,7 @@ def test_h1_sequence_matches_per_level_counts(family):
     expected = []
     for m in range(1, m_max + 1):
         if all((m * a).denominator == 1 for a in d.coeffs):
-            # capping LPs and box built on the scaled polyhedra themselves
+            # cap and box built on the scaled polyhedra themselves
             c = count_lattice_difference(inner.scaled(m), outer.scaled(m), 1)
             assert c == count_lattice_difference(inner, outer, m)
             expected.append((m, c, F(factorial(n) * c, m ** n)))
@@ -489,32 +546,25 @@ def test_h1_sequence_matches_per_level_counts(family):
 def test_project_triangle():
     p = poly(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)])
     q = fm_project_out(p, 0)
-    assert q.same_set(poly(1, [((1,), 0), ((-1,), -1)]))
+    assert same_set(q, poly(1, [((1,), 0), ((-1,), -1)]))
 
 
 def test_project_staircase_hull():
     q = fm_project_out(staircase_hull(), 1)
-    assert q.same_set(poly(1, [((1,), 1)]))
+    assert same_set(q, poly(1, [((1,), 1)]))
 
 
 def test_project_b_body():
     q = fm_project_out(b_body(F(3, 2)), 2)
-    assert q.same_set(poly(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), F(-3, 2))]))
+    assert same_set(q, poly(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), F(-3, 2))]))
 
 
 def test_saturate_region_slide():
     p = staircase_hull()
     # sliding along -x relaxes every x-positive constraint: only y >= 0 is left
-    assert saturate_region(p, [(1, 0)], ()).same_set(poly(2, [((0, 1), 0)]))
+    assert same_set(saturate_region(p, [(1, 0)], ()), poly(2, [((0, 1), 0)]))
     # sliding along -y leaves exactly the x >= 1 wall
-    assert saturate_region(p, [(0, 1)], ()).same_set(poly(2, [((1, 0), 1)]))
-
-
-def test_lp_optimize_wrapper():
-    res = lp_optimize((1, 1, 1), b_body(F(3, 2)), "max")
-    assert res.is_optimal and res.value == F(3, 2)
-    res = lp_optimize((1, 0), staircase_hull(), "min")
-    assert res.value == 1
+    assert same_set(saturate_region(p, [(0, 1)], ()), poly(2, [((1, 0), 1)]))
 
 
 # -- independent cross-checks ------------------------------------------------

@@ -65,6 +65,9 @@ def test_import_layers():
     imports = {path.stem: _locvol_imports(path) for path in SRC.glob("*.py")}
     assert imports["linalg"] == imports["linprog"] == set()
     polyhedral = {"locvol.geometry", "locvol.toric", "locvol.monomial"}
+    # the polyhedral kernel solves no LP: the psef cone LP is the only client
+    assert [name for name, found in imports.items() if "locvol.linprog" in found] == [
+        "surface"]
     assert not imports["surface"] & polyhedral, imports["surface"]
     assert not imports["cone"] & polyhedral, imports["cone"]
     assert [name for name, found in imports.items() if "locvol.cli" in found] == []

@@ -14,6 +14,7 @@ from locvol.geometry import (
     mat_rank,
     positive_functional,
     primitive,
+    _difference_cap,
 )
 from locvol.toric import (
     BOUNDARY,
@@ -35,7 +36,7 @@ from locvol.toric import (
 )
 from locvol.monomial import MonomialIdeal, saturated_newton_region
 
-from _identities import fm_slide
+from _identities import contains_polyhedron, fm_slide, lp_cap, same_set
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,13 @@ def tnc_datum():
 def octant_datum():
     octant = PointedCone([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     return ToricDatum(octant, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+
+
+@pytest.fixture(scope="module")
+def q4_datum():
+    q4 = PointedCone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    return ToricDatum(q4, list(q4.generators) + [
+        (1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1)])
 
 
 def tnc_divisor(datum, t):
@@ -92,8 +100,8 @@ def test_zero_divisor_regions_are_dual_cone(tnc_datum):
     d = ToricDivisor(tnc_datum, (F(0),) * 5)
     sections, punctured = divisor_polyhedra(d)
     dual = tnc_datum.cone.dual_polyhedron()
-    assert sections.same_set(dual)
-    assert punctured.same_set(dual)
+    assert same_set(sections, dual)
+    assert same_set(punctured, dual)
 
 
 def test_difference_body_matches_fixture(tnc_datum):
@@ -105,15 +113,15 @@ def test_difference_body_matches_fixture(tnc_datum):
         [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((1, 0, -2), -2),
          ((1, 1, 1), F(3, 2))],
     )
-    assert sections.same_set(body)
-    assert set(sections.recession_rays()) == set(punctured.recession_rays())
+    assert same_set(sections, body)
+    assert set(sections.vrep().rays) == set(punctured.vrep().rays)
 
 
 def test_negative_interior_coefficient_shrinks_sections(tnc_datum):
     d = over_center(tnc_datum, -1)
     sections, punctured = divisor_polyhedra(d)
-    assert punctured.contains_polyhedron(sections)
-    assert not sections.same_set(punctured)
+    assert contains_polyhedron(punctured, sections)
+    assert not same_set(sections, punctured)
 
 
 # -- local volumes ------------------------------------------------------------
@@ -285,14 +293,13 @@ def _random_simplicial_divisor(rng):
     return ToricDivisor(ToricDatum(cone, rays), coeffs)
 
 
-def test_meyer_hull_matches_larger_caps(tnc_datum):
+def test_meyer_hull_matches_larger_caps(tnc_datum, q4_datum):
     """Oracle for Meyer's cap: no lattice point above it changes the hull."""
-    q4 = PointedCone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
-    q4_datum = ToricDatum(q4, list(q4.generators) + [
-        (1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1)])
     divisors = [(tnc_divisor(tnc_datum, t), p)
                 for t, p in ((F(1, 2), 2), (1, 1), (F(3, 2), 2), (2, 1))]
     divisors.append((ToricDivisor(q4_datum, (0, 0, 0, 0, -2, -2, -3, -3)), 1))
+    # the dual cone itself: its one vertex, the origin, puts the top at 0
+    divisors.append((ToricDivisor(q4_datum, (0,) * 8), 1))
     rng = random.Random(13)
     divisors += [(_random_simplicial_divisor(rng), 1) for _ in range(24)]
     nonpositive_tops = 0
@@ -307,9 +314,55 @@ def test_meyer_hull_matches_larger_caps(tnc_datum):
         nonpositive_tops += top <= 0
         hull = stable_newton_region(region, cone)
         # twice the cap, or one more width of Π when twice would not be larger
-        assert hull.same_set(_hull_below(region, cone, max(2 * cap, cap + width)))
-        assert hull.same_set(_hull_below(region, cone, 3 * abs(top) + 3 * width + 10))
+        assert same_set(hull, _hull_below(region, cone, max(2 * cap, cap + width)))
+        assert same_set(hull, _hull_below(region, cone, 3 * abs(top) + 3 * width + 10))
     assert nonpositive_tops >= 3
+
+
+def test_difference_cap_matches_lp_cap(tnc_datum, octant_datum, q4_datum):
+    """Differential: the cap read off double-description vertices against
+    the one the simplex finds, for the same functional w."""
+    rng = random.Random(43)
+    coeffs = lambda k: [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
+    divisors = [_random_simplicial_divisor(rng) for _ in range(20)]
+    while len(divisors) < 50:  # a random simplicial cone with an interior ray
+        gens = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3)]
+        if mat_rank(gens) == 3:
+            cone = PointedCone(gens)
+            lam = [rng.randint(1, 3) for _ in range(3)]
+            inside = primitive([dot(lam, col) for col in zip(*cone.extreme_rays)])
+            datum = ToricDatum(cone, list(cone.extreme_rays) + [inside])
+            divisors.append(ToricDivisor(datum, coeffs(4)))
+    divisors += [ToricDivisor(datum, coeffs(len(datum.rays)))
+                 for datum in (tnc_datum, octant_datum, q4_datum) for _ in range(8)]
+    pairs = [divisor_polyhedra(d) for d in divisors]
+    cones = [PointedCone([(1, 0), (1, 2)]), PointedCone([(1, 0), (-1, 3)]),
+             PointedCone([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])]
+    for cone in [None] * 3 + cones:  # None: the orthant of dimension 2 or 3
+        for _ in range(6):
+            dim = cone.dim if cone else rng.randint(2, 3)
+            gens = []
+            while len(gens) < 3:
+                u = tuple(rng.randint(-4, 6) if cone else rng.randint(0, 5)
+                          for _ in range(dim))
+                if cone is None or cone.contains(u):
+                    gens.append(u)
+            ideal = MonomialIdeal(gens, ambient=cone)
+            pairs.append((ideal.newton_region(), saturated_newton_region(ideal)))
+    capped = skew = 0
+    for inner, outer in pairs:
+        cap = _difference_cap(inner, outer)
+        rays = outer.vrep().rays
+        if cap is None:
+            w = positive_functional(rays, inner.dim) if rays else (0,) * inner.dim
+            assert lp_cap(inner, outer, w) is None
+            continue
+        w, c = cap
+        assert c == lp_cap(inner, outer, w), inner.rows()
+        capped += 1
+        ray_sum = [sum(col) for col in zip(*rays)]
+        skew += not all(dot(ray_sum, r) > 0 for r in rays)
+    assert capped >= 45 and skew >= 12, (capped, skew)
 
 
 def _reflected(d, signs):
@@ -341,8 +394,8 @@ def test_saturation_matches_fourier_motzkin_on_fujita_regions(tnc_datum):
         cone = d.datum.cone
         newton = stable_newton_region(divisor_polyhedra(d)[0], cone)
         saturated = saturate_region(newton, cone.facets, ())
-        assert saturated.same_set(_fm_saturation(newton, cone.facets, ())), d.coeffs
-        strict += not saturated.same_set(newton)
+        assert same_set(saturated, _fm_saturation(newton, cone.facets, ())), d.coeffs
+        strict += not same_set(saturated, newton)
     assert strict >= 10
 
 
@@ -365,8 +418,8 @@ def test_saturation_matches_fourier_motzkin_on_cone_ambients():
             ideal = MonomialIdeal(gens, ambient=cone)
             region = ideal.newton_region()
             saturated = saturated_newton_region(ideal)
-            assert saturated.same_set(_fm_saturation(region, ideal.rays, ideal.facets)), gens
-            strict += not saturated.same_set(region)
+            assert same_set(saturated, _fm_saturation(region, ideal.rays, ideal.facets)), gens
+            strict += not same_set(saturated, region)
     assert strict >= 24
 
 
