@@ -13,7 +13,6 @@ from locvol import (
     PointedCone,
     ToricDatum,
     ToricDivisor,
-    classify_rays,
     compare_cbrt_sum,
     effectivity_vanishing_check,
     fujita_sequence,
@@ -25,7 +24,7 @@ sigma = PointedCone([(0, 1, 0), (0, 0, 1), (1, 0, -2)])
 datum = ToricDatum(sigma, [(0, 1, 0), (0, 0, 1), (1, 0, -2), (1, 1, 1), (1, 0, 0)])
 
 print("ray classification:")
-for ray, kind in zip(datum.rays, classify_rays(datum)):
+for ray, kind in zip(datum.rays, datum.kinds):
     print(f"  {ray}: {kind}")
 
 

@@ -25,11 +25,11 @@ class LocvolError(Exception):
 # home module of every exported name, in the order of __all__
 _EXPORTS = {
     "exactnum": ("QuadraticNumber", "compare_cbrt_sum", "format_decimal"),
-    "geometry": ("Halfspace", "Polyhedron", "VRep", "count_lattice_difference",
-                 "vertex_enumerate", "volume_bounded", "volume_of_difference"),
-    "toric": ("PointedCone", "ToricDatum", "ToricDivisor", "classify_rays",
-              "divisor_polyhedra", "effectivity_vanishing_check", "fujita_sequence",
-              "h1_sequence", "local_volume_toric"),
+    "geometry": ("Halfspace", "Polyhedron", "VRep", "volume_bounded",
+                 "volume_of_difference"),
+    "toric": ("PointedCone", "ToricDatum", "ToricDivisor", "divisor_polyhedra",
+              "effectivity_vanishing_check", "fujita_sequence", "h1_sequence",
+              "local_volume_toric"),
     "monomial": ("MonomialIdeal", "asymptotic_multiplicity", "h1_dim",
                  "multiplicity_sequence", "power", "saturation"),
     "surface": ("DualGraph", "SurfaceLattice", "divisor_local_volume",

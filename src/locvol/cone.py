@@ -58,51 +58,6 @@ def _poly_eval(coeffs, t):
     return _simplify(out)
 
 
-def _poly_trim(p):
-    """Coefficients (low to high) without trailing zeros."""
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_deriv(p):
-    return _poly_trim([(j + 1) * c for j, c in enumerate(p[1:])])
-
-
-def _poly_divmod(p, q):
-    """Quotient and remainder of p by a nonzero trimmed q, over Q."""
-    p = list(p)
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    for k in reversed(range(len(quot))):
-        quot[k] = p[k + len(q) - 1] / q[-1]
-        for j, c in enumerate(q):
-            p[k + j] -= quot[k] * c
-    return quot, _poly_trim(p[:len(q) - 1])
-
-
-def _sturm_sequence(p):
-    """Signed remainder sequence of the square-free part of nonzero p.
-
-    For a < b, the sign changes at a minus those at b count the distinct
-    roots of p in (a, b], whether or not a or b is a root.
-    """
-    g, r = p, _poly_deriv(p)
-    while r:
-        g, r = r, _poly_divmod(g, r)[1]
-    seq = [_poly_divmod(p, g)[0]]
-    r = _poly_deriv(seq[0])
-    while r:
-        seq.append(r)
-        r = [-c for c in _poly_divmod(seq[-2], r)[1]]
-    return seq
-
-
-def _sign_changes(seq, t):
-    signs = [v > 0 for v in (_poly_eval(f, t) for f in seq) if v != 0]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
 class PiecewisePoly:
     """Piecewise polynomial on [0, oo), identically zero past the last
     breakpoint; continuity is asserted exactly at construction."""
@@ -132,12 +87,6 @@ class PiecewisePoly:
     def zero(cls):
         return cls([Fraction(0)], [])
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.pieces or all(
-            all(c == 0 for c in p) for p in self.pieces
-        )
-
     def __call__(self, t):
         t = _as_number(t)
         if t < self.breakpoints[0] or t > self.breakpoints[-1]:
@@ -155,35 +104,6 @@ class PiecewisePoly:
             total = total + _poly_eval(anti, self.breakpoints[i + 1])
             total = total - _poly_eval(anti, self.breakpoints[i])
         return _simplify(total)
-
-    def is_nonincreasing(self) -> bool:
-        """Whether each piece's derivative is <= 0 on its interval, exactly.
-
-        A Sturm sequence counts the distinct roots of the derivative in an
-        open interval.  Bisection tests the sign at one point of every gap
-        between roots: an interval without roots by its midpoint, and one
-        with a single root and non-root ends by its two ends.
-        """
-        for i, piece in enumerate(self.pieces):
-            deriv = _poly_deriv(piece)
-            if not deriv:
-                continue
-            seq = _sturm_sequence(deriv)
-            stack = [(self.breakpoints[i], self.breakpoints[i + 1])]
-            while stack:
-                lo, hi = stack.pop()
-                ends = [_poly_eval(deriv, lo), _poly_eval(deriv, hi)]
-                roots = _sign_changes(seq, lo) - _sign_changes(seq, hi) - (ends[1] == 0)
-                if roots == 1 and 0 not in ends:
-                    if any(v > 0 for v in ends):
-                        return False
-                    continue
-                mid = (lo + hi) / 2
-                if _poly_eval(deriv, mid) > 0:
-                    return False
-                if roots:
-                    stack += [(lo, mid), (mid, hi)]
-        return True
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,7 @@ class QuadraticNumber:
             return (self.a, self.a)
         babs = abs(self.b)
         inner = scale * (babs.numerator // babs.denominator + 1)
-        lo_r, hi_r = sqrt_bounds(self.c, inner)
+        lo_r, hi_r = nth_root_bounds(self.c, 2, inner)
         if self.b > 0:
             return (self.a + self.b * lo_r, self.a + self.b * hi_r)
         return (self.a + self.b * hi_r, self.a + self.b * lo_r)
@@ -249,12 +249,6 @@ class QuadraticNumber:
         if self.is_rational:
             return f"QuadraticNumber({self.a})"
         return f"QuadraticNumber({self.a} + {self.b}*sqrt({self.c}))"
-
-
-def sqrt_bounds(c: int, scale: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(c) <= hi with hi - lo = 1/scale."""
-    t = isqrt(c * scale * scale)
-    return (Fraction(t, scale), Fraction(t + 1, scale))
 
 
 def sqrt_fraction(r) -> QuadraticNumber:
@@ -319,18 +313,6 @@ def compare_cbrt_sum(x, y, z) -> int:
         if xh + yh < zl:
             return -1
         scale *= 1000
-
-
-def certified_cbrt_gap(x, y, z, scale: int = 10 ** 9):
-    """Enclosures of x^(1/3)+y^(1/3) and z^(1/3) at width 1/scale each.
-
-    Returns ((lo, hi), (lo, hi)); a caller proves strict inequality by
-    comparing the intervals.
-    """
-    xl, xh = nth_root_bounds(x, 3, scale * 2)
-    yl, yh = nth_root_bounds(y, 3, scale * 2)
-    zl, zh = nth_root_bounds(z, 3, scale)
-    return ((xl + yl, xh + yh), (zl, zh))
 
 
 def format_decimal(value, digits: int = 12) -> str:

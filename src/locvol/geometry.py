@@ -218,25 +218,24 @@ class Polyhedron:
     Rows are Halfspaces or pairs (normal, offset), for <normal, x> >= offset.
     """
 
+    __slots__ = ("dim", "halfspaces", "_vrep")
+
     def __init__(self, dim: int, halfspaces):
         if dim < 1:
             raise ValueError("dimension must be positive")
-        hs = []
-        best = {}
+        best = {}  # first-seen order of the normals
         for h in halfspaces:
             if not isinstance(h, Halfspace):
                 h = Halfspace(tuple(h[0]), h[1])
             if len(h.normal) != dim:
                 raise ValueError("halfspace dimension mismatch")
             # same normal: keep only the tightest offset
-            if h.normal in best:
-                best[h.normal] = max(best[h.normal], h.offset)
-            else:
-                best[h.normal] = h.offset
-                hs.append(h.normal)
+            kept = best.get(h.normal)
+            if kept is None or h.offset > kept.offset:
+                best[h.normal] = h
         self.dim = dim
-        self.halfspaces = tuple(Halfspace(n, best[n]) for n in hs)
-        self._cache = {}
+        self.halfspaces = tuple(best.values())
+        self._vrep = None
 
     def __repr__(self):
         return f"Polyhedron(dim={self.dim}, {len(self.halfspaces)} halfspaces)"
@@ -266,8 +265,8 @@ class Polyhedron:
     # -- cached geometry --------------------------------------------------
 
     def vrep(self) -> VRep:
-        if "vrep" in self._cache:
-            return self._cache["vrep"]
+        if self._vrep is not None:
+            return self._vrep
         if self.dim > VERTEX_ENUM_MAX_DIM:
             raise DimensionCap(f"vertex enumeration capped at dim {VERTEX_ENUM_MAX_DIM}")
         rows = [list(h.normal) + [-h.offset] for h in self.halfspaces]
@@ -284,19 +283,13 @@ class Polyhedron:
             raise EmptyPolyhedron("polyhedron has no points")
         if lin:
             raise NotPointed("polyhedron contains a line")
-        vr = VRep(tuple(sorted(verts)), tuple(sorted(rec)))
-        self._cache["vrep"] = vr
-        return vr
+        self._vrep = VRep(tuple(sorted(verts)), tuple(sorted(rec)))
+        return self._vrep
 
 
 # ---------------------------------------------------------------------------
 # conversions
 # ---------------------------------------------------------------------------
-
-def vertex_enumerate(p: Polyhedron) -> VRep:
-    """Exact minimal V-representation of a nonempty polyhedron (dim <= 8)."""
-    return p.vrep()
-
 
 def facets_from_generators(dim, vertices, rays):
     """H-representation of conv(vertices) + cone(rays), as Halfspace list.
@@ -709,8 +702,3 @@ def lattice_difference_counts(inner: Polyhedron, outer: Polyhedron, scales):
                              _integer_constraints(inner, m), *_lattice_box(box, m))
         for m in scales
     ]
-
-
-def count_lattice_difference(inner: Polyhedron, outer: Polyhedron, m: int) -> int:
-    """Number of integer points in (m*outer) \\ (m*inner)."""
-    return lattice_difference_counts(inner, outer, [m])[0]

@@ -25,7 +25,7 @@ from operator import ge, sub
 
 from . import LocvolError
 from .geometry import Polyhedron, _fibre_count, hull_polyhedron, volume_of_difference
-from .linalg import dot, mat_det, solve_linear
+from .linalg import mat_det, solve_linear
 from .toric import PointedCone, _minimal_generators, saturate_region
 
 GENERATOR_LIMIT = 10 ** 6
@@ -72,11 +72,6 @@ class MonomialIdeal:
                     raise ValueError(f"generator {g} outside the ambient cone")
             self.rays, self.facets = ambient.extreme_rays, ambient.facets
         self.generators = tuple(sorted(_minimal_generators(gens, self.facets)))
-
-    def contains_exponent(self, u) -> bool:
-        """Whether u lies in some generator's translate of the ambient cone."""
-        return any(all(dot(f, u) >= dot(f, g) for f in self.facets)
-                   for g in self.generators)
 
     def __eq__(self, other):
         return (

@@ -135,12 +135,6 @@ class DualGraph:
     def rank(self) -> int:
         return len(self.vertices)
 
-    def permuted(self, perm) -> "DualGraph":
-        inv = {old: new for new, old in enumerate(perm)}
-        verts = [self.vertices[old] for old in perm]
-        edges = [(inv[i], inv[j], mult) for i, j, mult in self.edges]
-        return DualGraph(verts, edges)
-
 
 def log_canonical_intersections(graph: DualGraph):
     """Intersection numbers of the log-canonical vector with each curve:

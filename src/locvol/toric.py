@@ -85,10 +85,6 @@ class PointedCone:
             return BOUNDARY
         return FACE_INTERIOR
 
-    def dual_polyhedron(self) -> Polyhedron:
-        """The dual cone as a polyhedron {u : <u, g> >= 0 for all generators}."""
-        return Polyhedron(self.dim, [Halfspace(g, Fraction(0)) for g in self.generators])
-
 
 class ToricDatum:
     """A pointed cone together with all rays of a refining fan."""
@@ -113,14 +109,6 @@ class ToricDatum:
     @property
     def dim(self) -> int:
         return self.cone.dim
-
-    def interior_indices(self):
-        return [i for i, k in enumerate(self.kinds) if k == INTERIOR]
-
-
-def classify_rays(datum: ToricDatum):
-    """Per-ray classification (boundary / face interior / interior)."""
-    return datum.kinds
 
 
 class ToricDivisor:

@@ -554,7 +554,7 @@ def test_star_import_binds_every_exported_name():
 
     import locvol
 
-    assert len(locvol.__all__) == len(set(locvol.__all__)) == 42
+    assert len(locvol.__all__) == len(set(locvol.__all__)) == 39
     names = {}
     exec("from locvol import *", names)
     for name in locvol.__all__:

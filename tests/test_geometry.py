@@ -13,13 +13,12 @@ from locvol.geometry import (
     RecessionMismatch,
     Unbounded,
     _difference_cap,
-    count_lattice_difference,
     dot,
     hull_polyhedron,
+    lattice_difference_counts,
     mat_rank,
     positive_functional,
     primitive,
-    vertex_enumerate,
     volume_bounded,
     volume_of_difference,
 )
@@ -60,13 +59,13 @@ def staircase_hull():
 # -- vertex enumeration ------------------------------------------------------
 
 def test_unit_square_vertices():
-    vr = vertex_enumerate(unit_square())
+    vr = unit_square().vrep()
     assert set(vr.vertices) == {(0, 0), (1, 0), (0, 1), (1, 1)}
     assert vr.rays == ()
 
 
 def test_first_quadrant_vrep():
-    vr = vertex_enumerate(poly(2, [((1, 0), 0), ((0, 1), 0)]))
+    vr = poly(2, [((1, 0), 0), ((0, 1), 0)]).vrep()
     assert vr.vertices == ((F(0), F(0)),)
     assert set(vr.rays) == {(1, 0), (0, 1)}
 
@@ -77,7 +76,7 @@ def test_b_body_vertices():
         (F(0), F(0), F(0)), (F(0), F(0), F(1)), (F(0), F(1, 2), F(1)),
         (F(0), F(3, 2), F(0)), (F(1, 3), F(0), F(7, 6)), (F(3, 2), F(0), F(0)),
     }
-    vr = vertex_enumerate(b_body(F(3, 2)))
+    vr = b_body(F(3, 2)).vrep()
     assert set(vr.vertices) == expected
     assert vr.rays == ()
 
@@ -99,10 +98,9 @@ def test_roundtrip_unbounded():
 
 def test_empty_and_cap_errors():
     with pytest.raises(EmptyPolyhedron):
-        vertex_enumerate(poly(1, [((1,), 1), ((-1,), 0)]))
+        poly(1, [((1,), 1), ((-1,), 0)]).vrep()
     with pytest.raises(DimensionCap):
-        vertex_enumerate(poly(9, [(tuple(int(j == i) for j in range(9)), 0)
-                                 for i in range(9)]))
+        poly(9, [(tuple(int(j == i) for j in range(9)), 0) for i in range(9)]).vrep()
 
 
 # -- volumes -----------------------------------------------------------------
@@ -225,7 +223,7 @@ def test_skew_recession_cones_cap_like_the_lp():
         # the difference is the triangle (0,0), (1,0), (-1,1), times [0,1] in space
         assert volume_of_difference(inner, outer) == F(1, 2)
         for m in (1, 2):
-            assert count_lattice_difference(inner, outer, m) == brute_count(inner, outer, m)
+            assert lattice_difference_counts(inner, outer, [m])[0] == brute_count(inner, outer, m)
 
 
 def test_positive_functional_matches_lp_feasibility():
@@ -275,7 +273,7 @@ def brute_count(inner, outer, m):
 
 def test_count_equal_is_zero():
     p = staircase_hull()
-    assert count_lattice_difference(p, p, 3) == 0
+    assert lattice_difference_counts(p, p, [3])[0] == 0
 
 
 def test_count_staircase_m1():
@@ -283,8 +281,8 @@ def test_count_staircase_m1():
     outer = poly(2, [((1, 0), 1), ((0, 1), 0)])
     # the hull difference holds 5 lattice points: (2,2) satisfies 3x+2y >= 9
     # and so sits inside the inner hull even though it escapes the staircase
-    assert count_lattice_difference(inner, outer, 1) == 5
-    assert count_lattice_difference(inner, outer, 1) == brute_count(inner, outer, 1)
+    assert lattice_difference_counts(inner, outer, [1])[0] == 5
+    assert lattice_difference_counts(inner, outer, [1])[0] == brute_count(inner, outer, 1)
 
 
 def test_count_matches_bruteforce_tnc():
@@ -294,9 +292,9 @@ def test_count_matches_bruteforce_tnc():
     outer = poly(3, [((0, 1, 0), 0), ((0, 0, 1), 0), ((1, 0, -2), -2),
                      ((1, 0, 0), 0)])
     for m in (1, 2, 3):
-        got = count_lattice_difference(inner, outer, m)
+        got = lattice_difference_counts(inner, outer, [m])[0]
         assert got == brute_count(inner, outer, m)
-    assert count_lattice_difference(inner, outer, 1) == 1
+    assert lattice_difference_counts(inner, outer, [1])[0] == 1
 
 
 def test_count_converges_to_volume():
@@ -304,7 +302,7 @@ def test_count_converges_to_volume():
     outer = poly(2, [((1, 0), 1), ((0, 1), 0)])
     vol = volume_of_difference(inner, outer)
     for m in (10, 20, 40):
-        ratio = F(count_lattice_difference(inner, outer, m), m ** 2)
+        ratio = F(lattice_difference_counts(inner, outer, [m])[0], m ** 2)
         assert abs(ratio - vol) * m <= 8  # perimeter-scale error bound
 
 
@@ -532,8 +530,8 @@ def test_h1_sequence_matches_per_level_counts(family):
     for m in range(1, m_max + 1):
         if all((m * a).denominator == 1 for a in d.coeffs):
             # cap and box built on the scaled polyhedra themselves
-            c = count_lattice_difference(inner.scaled(m), outer.scaled(m), 1)
-            assert c == count_lattice_difference(inner, outer, m)
+            c = lattice_difference_counts(inner.scaled(m), outer.scaled(m), [1])[0]
+            assert c == lattice_difference_counts(inner, outer, [m])[0]
             expected.append((m, c, F(factorial(n) * c, m ** n)))
     assert h1_sequence(d, m_max) == expected
     assert [m for m, _, _ in expected] == (
@@ -604,7 +602,7 @@ def test_vertices_match_bruteforce_randomized():
             box.append((tuple(-x for x in e), -4))
         p = poly(dim, rows + box)
         try:
-            vr = vertex_enumerate(p)
+            vr = p.vrep()
         except EmptyPolyhedron:
             assert not brute_vertices(p)
             continue
@@ -619,7 +617,7 @@ def test_octahedron_degenerate_vertices():
             for sz in (1, -1):
                 rows.append(((sx, sy, sz), -1))
     p = poly(3, rows)
-    vr = vertex_enumerate(p)
+    vr = p.vrep()
     assert len(vr.vertices) == 6  # each vertex tight on four facets
     assert volume_bounded(p) == F(4, 3)
 
@@ -629,5 +627,5 @@ def test_cross_polytope_dim4():
 
     rows = [(signs, -1) for signs in iproduct((1, -1), repeat=4)]
     p = poly(4, rows)
-    assert len(vertex_enumerate(p).vertices) == 8
+    assert len(p.vrep().vertices) == 8
     assert volume_bounded(p) == F(2, 3)

@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import factorial, gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locvol.exactnum import QuadraticNumber, compare_cbrt_sum, nth_root_bounds
-from locvol.geometry import Polyhedron, volume_bounded
+from locvol.geometry import Polyhedron, _cap_halfspace, _difference_cap, volume_bounded
 from locvol.linprog import solve_lp
 from locvol.monomial import MonomialIdeal, h1_dim, power, saturation
 from locvol.surface import (
@@ -19,7 +19,16 @@ from locvol.surface import (
     singularity_volume,
     zariski_decompose,
 )
-from locvol.toric import PointedCone, ToricDatum, ToricDivisor, local_volume_toric
+from locvol.toric import (
+    PointedCone,
+    ToricDatum,
+    ToricDivisor,
+    divisor_polyhedra,
+    h1_sequence,
+    local_volume_toric,
+)
+
+from _identities import contains_exponent, interior_indices, permuted
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 
@@ -107,7 +116,7 @@ def test_saturation_idempotent_extensive(gens):
     sat = saturation(ideal)
     assert saturation(sat) == sat
     for g in ideal.generators:
-        assert sat.contains_exponent(g)
+        assert contains_exponent(sat, g)
     assert (h1_dim(ideal) == 0) == (sat == ideal)
 
 
@@ -118,7 +127,7 @@ def test_power_membership_consistency(gens, p):
     powered = power(ideal, p)
     for g in ideal.generators:
         scaled = tuple(p * x for x in g)
-        assert powered.contains_exponent(scaled)
+        assert contains_exponent(powered, scaled)
 
 
 # -- randomized toric suites ---------------------------------------------------
@@ -146,7 +155,7 @@ def test_toric_homogeneity_randomized():
 def test_toric_monotonicity_randomized():
     rng = random.Random(2)
     datum = _tnc_datum()
-    interior = datum.interior_indices()[0]
+    interior = interior_indices(datum)[0]
     for _ in range(20):
         coeffs = _random_coeffs(rng, datum)
         d = ToricDivisor(datum, coeffs)
@@ -164,7 +173,7 @@ def test_toric_monotonicity_randomized():
 def test_toric_log_convexity_randomized():
     rng = random.Random(3)
     datum = _tnc_datum()
-    interior = datum.interior_indices()[0]
+    interior = interior_indices(datum)[0]
     for _ in range(20):
         c1, c2 = (F(-rng.randint(0, 5), rng.randint(1, 2)) for _ in range(2))
         div = []
@@ -217,7 +226,7 @@ def test_zariski_randomized_invariants():
         # permutation invariance
         perm = list(range(g.rank))
         rng.shuffle(perm)
-        gp = g.permuted(perm)
+        gp = permuted(g, perm)
         parts_p = zariski_decompose(gp, [d[old] for old in perm])
         assert parts_p.nef == tuple(parts.nef[old] for old in perm)
         assert parts_p.negative == tuple(parts.negative[old] for old in perm)
@@ -246,11 +255,10 @@ def _hirzebruch_jung(n, q):
     return out
 
 
-def test_cyclic_quotients_agree_with_chain_graphs():
-    # 1/n(1,q): cone <(0,1), (n,-q)>, smooth refinement v_0..v_{k+1} with
-    # v_{i-1} + v_{i+1} = b_i v_i; a toric divisor sum a_i D_i meets the
-    # exceptional curve of v_i in a_{i-1} + a_{i+1} - b_i a_i
-    rng = random.Random(6)
+def _cyclic_quotients():
+    """(n, q, [b_i], datum) for 1/n(1,q), 2 <= n < 12: the cone
+    <(0,1), (n,-q)> with its smooth refinement v_0..v_{k+1}, where
+    v_{i-1} + v_{i+1} = b_i v_i."""
     for n in range(2, 12):
         for q in (q for q in range(1, n) if gcd(n, q) == 1):
             bs = _hirzebruch_jung(n, q)
@@ -258,11 +266,94 @@ def test_cyclic_quotients_agree_with_chain_graphs():
             for b in bs:
                 rays.append(tuple(b * x - y for x, y in zip(rays[-1], rays[-2])))
             assert rays[-1] == (n, -q)
-            datum = ToricDatum(PointedCone([(0, 1), (n, -q)]), rays)
-            chain = DualGraph([(-b, 0) for b in bs],
-                              [(i, i + 1, 1) for i in range(len(bs) - 1)])
-            for _ in range(3):
-                a = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rays]
-                target = [a[i - 1] + a[i + 1] - b * a[i] for i, b in enumerate(bs, 1)]
-                assert local_volume_toric(ToricDivisor(datum, a)) == \
-                    divisor_local_volume(chain, target), (n, q, a)
+            yield n, q, bs, ToricDatum(PointedCone([(0, 1), (n, -q)]), rays)
+
+
+def test_cyclic_quotients_agree_with_chain_graphs():
+    # a toric divisor sum a_i D_i meets the exceptional curve of v_i in
+    # a_{i-1} + a_{i+1} - b_i a_i
+    rng = random.Random(6)
+    for n, q, bs, datum in _cyclic_quotients():
+        chain = DualGraph([(-b, 0) for b in bs],
+                          [(i, i + 1, 1) for i in range(len(bs) - 1)])
+        for _ in range(3):
+            a = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in datum.rays]
+            target = [a[i - 1] + a[i + 1] - b * a[i] for i, b in enumerate(bs, 1)]
+            assert local_volume_toric(ToricDivisor(datum, a)) == \
+                divisor_local_volume(chain, target), (n, q, a)
+
+
+# -- lattice counts against their Ehrhart quasi-polynomial ---------------------
+
+def _interpolate(xs, ys):
+    """Coefficients, low to high, of the polynomial through the points (xs, ys)."""
+    coeffs = [F(0)] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis, denom = [F(1)], F(1)
+        for j, xj in enumerate(xs):
+            if j != i:  # basis *= (x - xj)
+                basis = [F(0)] + basis
+                for k in range(len(basis) - 1):
+                    basis[k] -= xj * basis[k + 1]
+                denom *= xi - xj
+        for k, c in enumerate(basis):
+            coeffs[k] += yi * c / denom
+    return coeffs
+
+
+def _ehrhart_period(d):
+    """lcm of the vertex denominators of the capped outer and inner regions
+    that h1_sequence counts in, or None when the difference is empty."""
+    inner, outer = divisor_polyhedra(d)
+    cap = _difference_cap(inner, outer)
+    if cap is None:
+        return None
+    top = _cap_halfspace(cap[0], cap[1] - 1)
+    return lcm(*(x.denominator for region in (outer, inner)
+                 for v in region.intersect(top).vrep().vertices for x in v))
+
+
+def test_h1_counts_follow_the_ehrhart_quasi_polynomial():
+    """The paper's two definitions of the local volume agree exactly.
+
+    The level-m count is E(O, m) - E(I, m) for the capped outer and inner
+    polytopes, a quasi-polynomial of degree n whose period divides the lcm
+    q of their vertex denominators (Beck & Robins, *Computing the
+    Continuous Discretely*, ch. 3).  Over the level index j = m/step it has
+    period Q = lcm(q, step)/step, so the counts at j <= Q(n+1) fix one
+    polynomial per residue class.  Each must predict the counts past
+    Q(n+1), and n! times its leading coefficient over step^n is the local
+    volume, the limit of the normalized counts.
+    """
+    tnc = _tnc_datum()
+    q4 = PointedCone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    q4_datum = ToricDatum(q4, list(q4.generators) + [
+        (1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1)])
+    divisors = [ToricDivisor(tnc, (0, 0, 2, -t, 0)) for t in (F(1, 2), 1, F(3, 2), 2)]
+    divisors.append(ToricDivisor(q4_datum, (0, 0, 0, 0, -2, -2, -3, -3)))
+    rng = random.Random(8)
+    divisors += [ToricDivisor(datum, [F(rng.randint(-4, 4), rng.randint(1, 3))
+                                      for _ in datum.rays])
+                 for *_, datum in _cyclic_quotients()]
+    periods, fitted = [], 0
+    for d in divisors:
+        n = d.datum.dim
+        vol = local_volume_toric(d)
+        step = lcm(*(a.denominator for a in d.coeffs))
+        q = _ehrhart_period(d)
+        period = 1 if q is None else lcm(q, step) // step
+        counts = {m // step: c for m, c, _ in h1_sequence(d, step * period * (n + 2))}
+        periods.append(q)
+        if q is None:
+            assert vol == 0 and not any(counts.values()), d.coeffs
+            continue
+        for r in range(1, period + 1):
+            js = [r + k * period for k in range(n + 1)]
+            poly = _interpolate(js, [counts[j] for j in js])
+            for j in range(r, max(counts) + 1, period):
+                assert sum(c * j ** k for k, c in enumerate(poly)) == counts[j], \
+                    (d.coeffs, j)
+            assert factorial(n) * poly[n] / step ** n == vol, d.coeffs
+        fitted += 1
+    assert periods[:5] == [14, 7, 6, 21, 1]
+    assert fitted >= 30, fitted

@@ -17,6 +17,8 @@ from locvol.surface import (
     zariski_decompose,
 )
 
+from _identities import permuted
+
 
 def chain(*self_ints, genus=0):
     verts = [(s, genus) for s in self_ints]
@@ -162,7 +164,7 @@ def test_permutation_invariance():
     d = log_canonical_intersections(g)
     parts = zariski_decompose(g, d)
     perm = [2, 0, 1]
-    gp = g.permuted(perm)
+    gp = permuted(g, perm)
     parts_p = zariski_decompose(gp, [d[old] for old in perm])
     assert parts_p.nef == tuple(parts.nef[old] for old in perm)
     assert parts_p.negative == tuple(parts.negative[old] for old in perm)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -24,7 +25,6 @@ from locvol.toric import (
     PointedCone,
     ToricDatum,
     ToricDivisor,
-    classify_rays,
     divisor_polyhedra,
     effectivity_vanishing_check,
     fujita_sequence,
@@ -36,7 +36,14 @@ from locvol.toric import (
 )
 from locvol.monomial import MonomialIdeal, saturated_newton_region
 
-from _identities import contains_polyhedron, fm_slide, lp_cap, same_set
+from _identities import (
+    contains_polyhedron,
+    dual_polyhedron,
+    fm_slide,
+    interior_indices,
+    lp_cap,
+    same_set,
+)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +73,7 @@ def tnc_divisor(datum, t):
 def over_center(datum, c):
     """c times the unique interior ray of either fixture."""
     coeffs = [F(0)] * len(datum.rays)
-    coeffs[datum.interior_indices()[0]] = F(c)
+    coeffs[interior_indices(datum)[0]] = F(c)
     return ToricDivisor(datum, tuple(coeffs))
 
 
@@ -81,7 +88,7 @@ def test_pointedness_and_rank_checks():
 
 def test_classification(tnc_datum, octant_datum):
     assert octant_datum.cone.classify((1, 1, 1)) == INTERIOR
-    assert classify_rays(tnc_datum) == (
+    assert tnc_datum.kinds == (
         BOUNDARY, BOUNDARY, BOUNDARY, INTERIOR, FACE_INTERIOR,
     )
     with pytest.raises(NotInCone):
@@ -99,7 +106,7 @@ def test_refinement_must_carry_extreme_rays():
 def test_zero_divisor_regions_are_dual_cone(tnc_datum):
     d = ToricDivisor(tnc_datum, (F(0),) * 5)
     sections, punctured = divisor_polyhedra(d)
-    dual = tnc_datum.cone.dual_polyhedron()
+    dual = dual_polyhedron(tnc_datum.cone)
     assert same_set(sections, dual)
     assert same_set(punctured, dual)
 
@@ -265,6 +272,55 @@ def test_fujita_enumeration_shares_the_lattice_budget(octant_datum):
     d = ToricDivisor(octant_datum, (F(0), F(0), F(0), F(-5000)))
     with pytest.raises(LatticeBudget):
         fujita_sequence(d, 1)
+
+
+def _cartier_boundary_divisor(rng):
+    """A random 3-dim divisor, with an interior ray, whose coefficients on
+    the non-interior rays are -<m, ray> for one lattice point m: the
+    punctured region is m plus the dual cone, the same at every level."""
+    while True:
+        datum = _random_simplicial_divisor(rng).datum
+        if INTERIOR in datum.kinds:
+            break
+    m = [rng.randint(-1, 1) for _ in range(3)]
+    return ToricDivisor(datum, [-dot(m, r) - (F(rng.randint(1, 2), rng.randint(2, 3))
+                                              if k == INTERIOR else 0)
+                                for r, k in zip(datum.rays, datum.kinds)])
+
+
+def test_fujita_certificates_are_exact(tnc_datum):
+    """Exact facts tying fujita_sequence to local_volume_toric.
+
+    For a graded sequence of ideals a_p a_q <= a_(p+q) with a fixed
+    saturation, a_p^k <= a_(kp) and e(I^k) = k^n e(I), so e(a_p)/p^n does
+    not increase along multiples, and it tends to the volume (Mustata, "On
+    multiplicities of graded sequences of ideals", J. Algebra 256 (2002)):
+    every e(a_p)/p^n is at least the volume.  When pP is integral, P being
+    the section region, the Newton region is pP itself and equality holds;
+    elsewhere it is strict.  A fixed saturation needs the punctured region
+    to be a lattice translate of the dual cone, as on the tnc family.
+    """
+    rng = random.Random(71)
+    divisors = [(tnc_divisor(tnc_datum, t), 8) for t in (F(1, 2), 1, F(3, 2), 2)]
+    divisors += [(_reflected(_cartier_boundary_divisor(rng),
+                             [rng.choice((1, -1)) for _ in range(3)]), 6)
+                 for _ in range(24)]
+    periods, split = [], 0
+    for d, p_max in divisors:
+        vol = local_volume_toric(d)
+        norms = {p: norm for p, _, norm in fujita_sequence(d, p_max)}
+        q = lcm(*(x.denominator for v in divisor_polyhedra(d)[0].vrep().vertices
+                  for x in v))
+        for p, norm in norms.items():
+            assert norm >= vol, (d.coeffs, p)
+            assert all(norms[k * p] <= norm for k in range(2, p_max // p + 1)
+                       if k * p in norms), (d.coeffs, p)
+        assert [p for p in norms if norms[p] == vol] == [p for p in norms if p % q == 0], \
+            (d.coeffs, q)
+        periods.append(q)
+        split += any(p % q == 0 for p in norms) and any(p % q for p in norms)
+    assert periods[:4] == [2, 1, 6, 3]
+    assert split >= 7, split
 
 
 def _hull_below(region, cone, cap):
