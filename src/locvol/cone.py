@@ -18,7 +18,7 @@ from math import comb, factorial
 from . import LocvolError
 from .exactnum import FieldMismatch, QuadraticNumber, solve_quadratic
 from .linalg import solve_linear
-from .surface import InvalidModel, SurfaceLattice, lattice_zariski
+from .surface import InvalidModel, SurfaceLattice, _bilinear, lattice_zariski
 
 
 class ConeError(LocvolError):
@@ -134,22 +134,25 @@ class ProjSpace:
 
 
 class AbelianCover:
-    """Double cover of an abelian surface: canonical class pulls back the
-    branch-defining ample class, polarization pulls back another one.
+    """Double cover of an abelian surface: the canonical class pulls back the
+    branch-defining ample class D, the polarization pulls back another ample
+    class L.
 
-    base_sq, mixed, pol_sq are the three intersection numbers downstairs;
-    upstairs intersection numbers double.
+    base_sq, mixed, pol_sq are D^2, D.L and L^2 downstairs.  Upstairs the
+    cover is the round surface form on the pulled-back classes (D, L), with
+    Gram matrix 2*[[base_sq, mixed], [mixed, pol_sq]] (a double cover doubles
+    every intersection number) and L ample, so its invariants take the same
+    walk across the round psef cone as a round `LatticeModel`.
     """
 
-    __slots__ = ("base_sq", "mixed", "pol_sq", "cover_multiplier")
+    __slots__ = ("base_sq", "mixed", "pol_sq")
 
-    def __init__(self, base_sq: int, mixed: int, pol_sq: int, cover_multiplier: int = 2):
+    def __init__(self, base_sq: int, mixed: int, pol_sq: int):
         if min(base_sq, mixed, pol_sq) <= 0:
             raise ValueError("intersection data must be positive")
         if mixed ** 2 - base_sq * pol_sq < 0:
             raise ValueError("threshold would be complex: need mixed^2 >= base*pol")
         self.base_sq, self.mixed, self.pol_sq = base_sq, mixed, pol_sq
-        self.cover_multiplier = cover_multiplier
 
 
 class LatticeModel:
@@ -166,6 +169,8 @@ class LatticeModel:
             raise ValueError(f"k and h must have length {lattice.rank}, the gram rank")
         if lattice.pair(h, h) <= 0:
             raise InvalidModel("polarization must have positive self-intersection")
+        if lattice.pair(h, lattice.ample) <= 0:
+            raise InvalidModel("polarization must pair positively with the ample class")
         if lattice.is_round_model and lattice.negative_curves:
             raise InvalidModel("round psef model cannot carry negative curves")
         self.lattice, self.canonical, self.polarization = lattice, k, h
@@ -183,16 +188,27 @@ def model_dim(model) -> int:
     raise TypeError(f"not a polarized model: {model!r}")
 
 
+def _surface_form(model):
+    """(pairing, ample class, K, H) of a surface model; the ample class is
+    None when the pseudo-effective cone is polyhedral rather than round."""
+    if isinstance(model, AbelianCover):
+        d2, dl, l2 = 2 * model.base_sq, 2 * model.mixed, 2 * model.pol_sq
+        gram = ((d2, dl), (dl, l2))
+        return (lambda u, v: _bilinear(u, gram, v)), (0, 1), (1, 0), (0, 1)
+    lat = model.lattice
+    ample = lat.ample if lat.is_round_model else None
+    return lat.pair, ample, model.canonical, model.polarization
+
+
 def polarization_degree(model):
     """Top self-intersection of the polarization on the model."""
     if isinstance(model, Curve):
         return Fraction(model.degree)
     if isinstance(model, ProjSpace):
         return Fraction(model.h ** model.dim)
-    if isinstance(model, AbelianCover):
-        return Fraction(model.cover_multiplier * model.pol_sq)
-    if isinstance(model, LatticeModel):
-        return model.lattice.pair(model.polarization, model.polarization)
+    if isinstance(model, (AbelianCover, LatticeModel)):
+        pair, _, _, h_vec = _surface_form(model)
+        return pair(h_vec, h_vec)
     raise TypeError(f"not a polarized model: {model!r}")
 
 
@@ -220,63 +236,41 @@ def volume_function(model, k_canonical=1, k_polarization=0) -> PiecewisePoly:
             for j in range(model.dim + 1)
         )
         return PiecewisePoly([Fraction(0), a0 / model.h], [coeffs])
-    if isinstance(model, AbelianCover):
-        return _abelian_volume_function(model, k, h)
-    if isinstance(model, LatticeModel):
-        return _lattice_volume_function(model, k, h)
+    if isinstance(model, (AbelianCover, LatticeModel)):
+        return _surface_volume_function(model, k, h)
     raise TypeError(f"not a polarized model: {model!r}")
 
 
-def _quadratic_psef_reach(c0, c1, c2, l0, l1):
-    """Largest T >= 0 with c(t) >= 0 and l(t) >= 0 on [0, T], for the
-    downward walk of a class across a round psef cone; None if empty at 0.
+def _round_end(c0, c1, c2, l0, l1):
+    """The end of {t : c(t) >= 0, l(t) >= 0} that a walk a + t*d across a
+    round psef cone reaches: c = (a + t*d)^2 = c0 + c1*t + c2*t^2 and
+    l = (a + t*d).A = l0 + l1*t for the ample class A.
 
-    c is the self-intersection (c2 > 0), l the pairing with a positivity
-    witness; the boundary must be hit on the quadric, so l(T) >= 0 is
-    asserted as the explicit root-selection sign test.
+    The walk runs along d with d^2 > 0 and d.A != 0, so d or -d is inside the
+    cone: upward (d.A > 0) the set ends below at the larger root, downward
+    (d.A < 0) above at the smaller one.  l >= 0 at the selected root is the
+    explicit root-selection sign test.
     """
-    if c0 < 0 or l0 < 0:
-        return None
+    if c2 <= 0 or l1 == 0:
+        raise ConeError("walk direction must have positive square and meet "
+                        "the ample class")
     r1, r2 = solve_quadratic(c2, c1, c0)
-    reach = _simplify(r1)
-    if isinstance(reach, Fraction) and reach < 0:
-        raise ConeError("class stays inside the quadric for all t >= 0")
-    if isinstance(reach, QuadraticNumber) and reach.sign() < 0:
-        raise ConeError("class stays inside the quadric for all t >= 0")
-    if not l0 + l1 * reach >= 0:
-        raise ConeError("psef direction test failed at the threshold root")
-    return reach
+    end = _simplify(r2 if l1 > 0 else r1)
+    if l0 + l1 * end < 0:
+        raise ConeError(f"selected root {end} fails the pseudo-effectivity sign test")
+    return end
 
 
-def _abelian_volume_function(model: AbelianCover, k, h):
-    d2, dl, l2 = model.base_sq, model.mixed, model.pol_sq
-    # (kD + (h - t)L)^2 expanded in t
-    c0 = k * k * d2 + 2 * k * h * dl + h * h * l2
-    c1 = -2 * (k * dl + h * l2)
-    c2 = Fraction(l2)
-    l0 = k * dl + h * l2  # pairing with the polarization downstairs
-    l1 = Fraction(-l2)
-    reach = _quadratic_psef_reach(c0, c1, c2, l0, l1)
-    if reach is None or not 0 < reach:
-        return PiecewisePoly.zero()
-    m = model.cover_multiplier
-    return PiecewisePoly([Fraction(0), reach], [(m * c0, m * c1, m * c2)])
-
-
-def _lattice_volume_function(model: LatticeModel, k, h):
-    lat = model.lattice
-    a_vec = tuple(k * x + h * y for x, y in zip(model.canonical, model.polarization))
-    h_vec = model.polarization
-    if lat.is_round_model:
-        c0 = lat.pair(a_vec, a_vec)
-        c1 = -2 * lat.pair(a_vec, h_vec)
-        c2 = lat.pair(h_vec, h_vec)
-        l0 = lat.pair(a_vec, lat.ample)
-        l1 = -lat.pair(h_vec, lat.ample)
-        reach = _quadratic_psef_reach(c0, c1, c2, l0, l1)
-        if reach is None or not 0 < reach:
+def _surface_volume_function(model, k, h):
+    pair, ample, canonical, h_vec = _surface_form(model)
+    a_vec = tuple(k * x + h * y for x, y in zip(canonical, h_vec))
+    if ample is not None:
+        square = (pair(a_vec, a_vec), -2 * pair(a_vec, h_vec), pair(h_vec, h_vec))
+        reach = _round_end(*square, pair(a_vec, ample), -pair(h_vec, ample))
+        if not 0 < reach:
             return PiecewisePoly.zero()
-        return PiecewisePoly([Fraction(0), reach], [(c0, c1, c2)])
+        return PiecewisePoly([Fraction(0), reach], [square])
+    lat = model.lattice
     if not lat.is_psef(a_vec):
         return PiecewisePoly.zero()
     reach = _polyhedral_psef_reach(lat, a_vec, h_vec)
@@ -404,44 +398,17 @@ def psef_threshold_anticanonical(model):
         return Fraction(2 * model.genus - 2, model.degree)
     if isinstance(model, ProjSpace):
         return Fraction(-(model.dim + 1), model.h)
-    if isinstance(model, AbelianCover):
-        d2, dl, l2 = model.base_sq, model.mixed, model.pol_sq
-        return _min_psef_root(
-            c0=Fraction(d2), c1=Fraction(-2 * dl), c2=Fraction(l2),
-            l0=Fraction(-dl), l1=Fraction(l2),
-        )
-    if isinstance(model, LatticeModel):
-        lat = model.lattice
-        mk = tuple(-x for x in model.canonical)
-        hv = model.polarization
-        if lat.is_round_model:
-            return _min_psef_root(
-                c0=lat.pair(mk, mk), c1=2 * lat.pair(mk, hv), c2=lat.pair(hv, hv),
-                l0=lat.pair(mk, lat.ample), l1=lat.pair(hv, lat.ample),
-            )
-        res = lat.psef_lp(mk, hv, "min")
+    if isinstance(model, (AbelianCover, LatticeModel)):
+        pair, ample, canonical, h_vec = _surface_form(model)
+        mk = tuple(-x for x in canonical)
+        if ample is not None:
+            return _round_end(pair(mk, mk), 2 * pair(mk, h_vec), pair(h_vec, h_vec),
+                              pair(mk, ample), pair(h_vec, ample))
+        res = model.lattice.psef_lp(mk, h_vec, "min")
         if not res.is_optimal:
             raise InvalidModel("anticanonical threshold has no finite value")
         return res.value
     raise TypeError(f"not a polarized model: {model!r}")
-
-
-def _min_psef_root(c0, c1, c2, l0, l1):
-    """Minimal t with c(t) >= 0 and l(t) >= 0 for an upward walk (l1 > 0)."""
-    if l1 <= 0:
-        raise InvalidModel("positivity pairing must grow along the polarization")
-    t_lin = -l0 / l1
-    r1, r2 = solve_quadratic(c2, c1, c0)
-    if t_lin <= r1:
-        out = _as_number(t_lin)
-    elif t_lin >= r2:
-        out = _as_number(t_lin)
-    else:
-        out = r2
-    # explicit sign test on the selected root
-    if _poly_eval((c0, c1, c2), out) < 0 or l0 + l1 * out < 0:
-        raise ConeError(f"selected root {out} fails the pseudo-effectivity sign test")
-    return _simplify(out)
 
 
 def _envelope_hypothesis_holds(model) -> bool:

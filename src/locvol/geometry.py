@@ -240,9 +240,6 @@ class Polyhedron:
     def __repr__(self):
         return f"Polyhedron(dim={self.dim}, {len(self.halfspaces)} halfspaces)"
 
-    def rows(self):
-        return [(h.normal, h.offset) for h in self.halfspaces]
-
     def contains(self, point) -> bool:
         return all(h.holds(point) for h in self.halfspaces)
 
@@ -253,14 +250,9 @@ class Polyhedron:
             raise ValueError("scale factor must be positive")
         return Polyhedron(self.dim, [h.scaled(m) for h in self.halfspaces])
 
-    def intersect(self, other) -> "Polyhedron":
-        if isinstance(other, Polyhedron):
-            if other.dim != self.dim:
-                raise ValueError("dimension mismatch")
-            extra = other.halfspaces
-        else:
-            extra = [other if isinstance(other, Halfspace) else Halfspace(*other)]
-        return Polyhedron(self.dim, list(self.halfspaces) + list(extra))
+    def intersect(self, h) -> "Polyhedron":
+        """The polyhedron cut by one more row: a Halfspace or a pair."""
+        return Polyhedron(self.dim, self.halfspaces + (h,))
 
     # -- cached geometry --------------------------------------------------
 

@@ -123,9 +123,6 @@ class ToricDivisor:
         self.datum = datum
         self.coeffs = coeffs
 
-    def scaled(self, m) -> "ToricDivisor":
-        return ToricDivisor(self.datum, tuple(Fraction(m) * c for c in self.coeffs))
-
 
 def divisor_polyhedra(d: ToricDivisor):
     """Exponent regions (sections, sections defined off the central fiber).

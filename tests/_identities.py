@@ -1,7 +1,10 @@
 """Shared test references.
 
 A symbolic check that the integrated double-cover volume equals the closed
-form identically, modulo the threshold's defining quadratic relation;
+form identically, modulo the threshold's defining quadratic relation; the
+two root-selection routines and the downstairs double-cover walk that
+`locvol.cone` used before covers and round lattice models shared one walk,
+the reference the shared walk is checked against;
 Fourier-Motzkin elimination, the independent reference for the
 double-description slides of `locvol.toric.saturate_region`; the exact
 simplex, the independent reference for set equality and for the capping
@@ -9,18 +12,19 @@ values and positive functionals that `locvol.geometry` takes from double
 description; and the checkers and accessors only tests use: an exact
 Sturm-sequence monotonicity check of piecewise polynomials, cube-root
 enclosures at a given width, ideal membership, the dual cone as a
-polyhedron, the interior rays of a toric datum and relabelled dual graphs.
+polyhedron, a polyhedron's rows as LP input, a scaled toric divisor, the
+interior rays of a toric datum and relabelled dual graphs.
 """
 
 from fractions import Fraction as F
 
-from locvol.cone import _poly_eval
-from locvol.exactnum import nth_root_bounds
+from locvol.cone import AbelianCover, ConeError, PiecewisePoly, _as_number, _poly_eval, _simplify
+from locvol.exactnum import QuadraticNumber, nth_root_bounds, solve_quadratic
 from locvol.geometry import Halfspace, Polyhedron
 from locvol.linalg import dot
 from locvol.linprog import solve_lp
-from locvol.surface import DualGraph
-from locvol.toric import INTERIOR
+from locvol.surface import DualGraph, InvalidModel
+from locvol.toric import INTERIOR, ToricDivisor
 
 
 def _poly(**mono):
@@ -70,6 +74,93 @@ def abelian_closed_form_identity_holds() -> bool:
     return not diff
 
 
+def _quadratic_psef_reach(c0, c1, c2, l0, l1):
+    """Largest T >= 0 with c(t) >= 0 and l(t) >= 0 on [0, T], for the
+    downward walk of a class across a round psef cone; None if empty at 0.
+
+    c is the self-intersection (c2 > 0), l the pairing with a positivity
+    witness; the boundary must be hit on the quadric, so l(T) >= 0 is
+    asserted as the explicit root-selection sign test.
+    """
+    if c0 < 0 or l0 < 0:
+        return None
+    r1, r2 = solve_quadratic(c2, c1, c0)
+    reach = _simplify(r1)
+    if isinstance(reach, F) and reach < 0:
+        raise ConeError("class stays inside the quadric for all t >= 0")
+    if isinstance(reach, QuadraticNumber) and reach.sign() < 0:
+        raise ConeError("class stays inside the quadric for all t >= 0")
+    if not l0 + l1 * reach >= 0:
+        raise ConeError("psef direction test failed at the threshold root")
+    return reach
+
+
+def _min_psef_root(c0, c1, c2, l0, l1):
+    """Minimal t with c(t) >= 0 and l(t) >= 0 for an upward walk (l1 > 0)."""
+    if l1 <= 0:
+        raise InvalidModel("positivity pairing must grow along the polarization")
+    t_lin = -l0 / l1
+    r1, r2 = solve_quadratic(c2, c1, c0)
+    if t_lin <= r1:
+        out = _as_number(t_lin)
+    elif t_lin >= r2:
+        out = _as_number(t_lin)
+    else:
+        out = r2
+    # explicit sign test on the selected root
+    if _poly_eval((c0, c1, c2), out) < 0 or l0 + l1 * out < 0:
+        raise ConeError(f"selected root {out} fails the pseudo-effectivity sign test")
+    return _simplify(out)
+
+
+def _abelian_volume_function(model: AbelianCover, k, h):
+    d2, dl, l2 = model.base_sq, model.mixed, model.pol_sq
+    # (kD + (h - t)L)^2 expanded in t
+    c0 = k * k * d2 + 2 * k * h * dl + h * h * l2
+    c1 = -2 * (k * dl + h * l2)
+    c2 = F(l2)
+    l0 = k * dl + h * l2  # pairing with the polarization downstairs
+    l1 = F(-l2)
+    reach = _quadratic_psef_reach(c0, c1, c2, l0, l1)
+    if reach is None or not 0 < reach:
+        return PiecewisePoly.zero()
+    m = 2  # a double cover doubles every intersection number
+    return PiecewisePoly([F(0), reach], [(m * c0, m * c1, m * c2)])
+
+
+def reference_volume_function(model, k, h):
+    """vol(kK + hH - tH) of a double cover (downstairs, doubled) or a round
+    lattice model, by the walks the package used before they were shared."""
+    k, h = F(k), F(h)
+    if isinstance(model, AbelianCover):
+        return _abelian_volume_function(model, k, h)
+    lat, h_vec = model.lattice, model.polarization
+    a_vec = tuple(k * x + h * y for x, y in zip(model.canonical, h_vec))
+    c0 = lat.pair(a_vec, a_vec)
+    c1 = -2 * lat.pair(a_vec, h_vec)
+    c2 = lat.pair(h_vec, h_vec)
+    reach = _quadratic_psef_reach(c0, c1, c2, lat.pair(a_vec, lat.ample),
+                                  -lat.pair(h_vec, lat.ample))
+    if reach is None or not 0 < reach:
+        return PiecewisePoly.zero()
+    return PiecewisePoly([F(0), reach], [(c0, c1, c2)])
+
+
+def reference_threshold(model):
+    """min{t : -K + tH psef} of a double cover or a round lattice model, by
+    the upward root selection the package used before the walks were shared."""
+    if isinstance(model, AbelianCover):
+        d2, dl, l2 = model.base_sq, model.mixed, model.pol_sq
+        return _min_psef_root(c0=F(d2), c1=F(-2 * dl), c2=F(l2), l0=F(-dl), l1=F(l2))
+    lat = model.lattice
+    mk = tuple(-x for x in model.canonical)
+    hv = model.polarization
+    return _min_psef_root(
+        c0=lat.pair(mk, mk), c1=2 * lat.pair(mk, hv), c2=lat.pair(hv, hv),
+        l0=lat.pair(mk, lat.ample), l1=lat.pair(hv, lat.ample),
+    )
+
+
 def fm_project_out(p, coord):
     """Fourier-Motzkin elimination of one coordinate, without pruning."""
     rows = [(h.normal, h.offset) for h in p.halfspaces if h.normal[coord] == 0]
@@ -97,10 +188,15 @@ def fm_slide(p, direction):
     return fm_project_out(Polyhedron(p.dim + 1, rows), p.dim)
 
 
+def rows(p):
+    """The halfspaces of a polyhedron as (normal, offset) LP rows."""
+    return [(h.normal, h.offset) for h in p.halfspaces]
+
+
 def contains_polyhedron(outer, inner):
     """Point-set containment inner <= outer, decided by one LP per halfspace."""
     for h in outer.halfspaces:
-        res = solve_lp(h.normal, inner.rows(), "min")
+        res = solve_lp(h.normal, rows(inner), "min")
         if res.status == "infeasible":
             return True
         if res.status == "unbounded" or res.value < h.offset:
@@ -119,10 +215,10 @@ def lp_cap(inner, outer, w):
     when there are none."""
     best = None
     for h in inner.halfspaces:
-        low = solve_lp(h.normal, outer.rows(), "min")
+        low = solve_lp(h.normal, rows(outer), "min")
         if low.is_optimal and low.value >= h.offset:
             continue
-        res = solve_lp(w, outer.rows() + [(tuple(-x for x in h.normal), -h.offset)], "max")
+        res = solve_lp(w, rows(outer) + [(tuple(-x for x in h.normal), -h.offset)], "max")
         if not res.is_optimal:
             raise ValueError(f"capping LP is {res.status}")
         best = res.value if best is None else max(best, res.value)
@@ -230,6 +326,11 @@ def contains_exponent(ideal, u):
 def dual_polyhedron(cone):
     """The dual cone as a polyhedron {u : <u, g> >= 0 for all generators}."""
     return Polyhedron(cone.dim, [Halfspace(g, F(0)) for g in cone.generators])
+
+
+def scaled_divisor(d, m):
+    """The toric divisor m*D."""
+    return ToricDivisor(d.datum, tuple(F(m) * c for c in d.coeffs))
 
 
 def interior_indices(datum):

@@ -350,6 +350,21 @@ def test_gram_of_wrong_signature_exits_3(tmp_path, result_validator):
     result_validator.validate(err)
 
 
+@pytest.mark.parametrize("canonical", [[-1, 2], [1, -2]])
+def test_polarization_meeting_the_ample_class_negatively_exits_3(
+        tmp_path, result_validator, canonical):
+    # h^2 = 11 > 0 but h.A = -17, so -h is the class in the positive cone
+    path = write_problem(tmp_path, {"kind": "cone", "payload": {"model": {
+        "type": "lattice", "gram": [[-4, 2], [2, 3]], "canonical": canonical,
+        "ample": [1, 1], "h": [1, -3]}}})
+    code, out, _ = invoke("cone-volume", path)
+    assert code == 3, out
+    err = json.loads(out)
+    assert err["error"]["name"] == "InvalidModel"
+    assert "ample class" in err["error"]["message"]
+    result_validator.validate(err)
+
+
 def test_explicit_flag_beats_file_options_which_beat_defaults(tmp_path):
     def last_index(*argv):
         code, out, _ = invoke(*argv)

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from locvol import LocvolError
 from locvol.cone import (
     AbelianCover,
+    ConeError,
     Curve,
     HypothesisNotAsserted,
     LatticeModel,
@@ -17,11 +20,16 @@ from locvol.cone import (
     psef_threshold_anticanonical,
     section_count_curve,
     volume_function,
+    _simplify,
 )
 from locvol.exactnum import QuadraticNumber
 from locvol.surface import SurfaceLattice, projective_volume
 
-from _identities import is_nonincreasing
+from _identities import (
+    is_nonincreasing,
+    reference_threshold,
+    reference_volume_function,
+)
 
 
 def quad(a, b, c):
@@ -332,8 +340,73 @@ def test_riemann_roch_consistency():
 
 
 def test_root_sign_guard_raises_cone_error():
-    from locvol.cone import ConeError, _min_psef_root
+    from locvol.cone import _round_end
 
-    # c(t) = 1 - t^2 is negative at the linear root t = -5
+    # c(t) = 1 - t^2 has no inside: the walk direction has negative square
     with pytest.raises(ConeError):
-        _min_psef_root(F(1), F(0), F(-1), F(5), F(1))
+        _round_end(F(1), F(0), F(-1), F(5), F(1))
+    # c(t) = t^2 - 1 upward selects t = 1, where l(t) = t - 5 is negative
+    with pytest.raises(ConeError, match="sign test"):
+        _round_end(F(-1), F(0), F(1), F(-5), F(1))
+
+
+# -- one round walk against the per-model walks it replaced -------------------
+
+SHIFTS = ((1, 0), (1, 1), (2, 1), (F(-1, 2), 2))  # (k, h): the first two integrate
+
+
+def _check_against_reference(model):
+    """Every cone invariant of a cover or round lattice model equals, in value
+    and representation, what the per-model walks the shared walk replaced give."""
+    series = {kh: reference_volume_function(model, *kh) for kh in SHIFTS}
+    threshold = reference_threshold(model)
+    degree = (2 * model.pol_sq if isinstance(model, AbelianCover)
+              else model.lattice.pair(model.polarization, model.polarization))
+    expected = {
+        cone_singularity_volume: _simplify(3 * series[1, 0].integral()),
+        cone_gamma_volume: _simplify(3 * series[1, 1].integral()),
+        bdff_cone_volume: _simplify(threshold ** 3 * degree) if threshold > 0 else F(0),
+        psef_threshold_anticanonical: threshold,
+    }
+    for fn, value in expected.items():
+        assert repr(fn(model)) == repr(value), fn.__name__
+    for kh, old in series.items():
+        new = volume_function(model, *kh)
+        assert repr((new.breakpoints, new.pieces)) == repr((old.breakpoints, old.pieces)), kh
+
+
+def test_covers_walk_as_before():
+    degenerate = 0
+    for base_sq in range(1, 9):
+        for mixed in range(1, 9):
+            for pol_sq in range(1, 9):
+                if mixed ** 2 < base_sq * pol_sq:
+                    continue  # the constructor refuses a complex threshold
+                degenerate += mixed ** 2 == base_sq * pol_sq
+                _check_against_reference(AbelianCover(base_sq, mixed, pol_sq))
+    assert degenerate == 12
+
+
+def _random_round_model(rng, rank):
+    """A seeded round lattice model of the given rank that the constructors
+    accept, or None."""
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            gram[i][j] = gram[j][i] = rng.randint(-5, 5)
+    ample, k, h = ([rng.randint(-4, 4) for _ in range(rank)] for _ in range(3))
+    try:
+        return LatticeModel(SurfaceLattice(gram, k, ample), k, h)
+    except (ValueError, LocvolError):
+        return None
+
+
+def test_round_lattice_models_walk_as_before():
+    rng = random.Random(25)
+    accepted = {2: 0, 3: 0}
+    while sum(accepted.values()) < 1000:
+        rank = min(accepted, key=accepted.get)
+        model = _random_round_model(rng, rank)
+        if model is not None:
+            accepted[rank] += 1
+            _check_against_reference(model)
