@@ -5,8 +5,8 @@ with real quadratic irrationals where pseudo-effective thresholds demand
 them.  The toric and monomial layers sit on a rational polyhedral kernel
 (vertex/facet enumeration by double description, volumes and lattice
 counts of bounded differences of nested polyhedra); the surface and cone
-layers on exact linear algebra and one exact LP for pseudo-effective
-cones.
+layers on exact linear algebra, reading a generated pseudo-effective cone
+through its facet normals from the same double description.
 
 Importing the package loads no submodule: each exported name is imported
 from its home module on first access (PEP 562), so a caller compiles only

@@ -273,21 +273,13 @@ def _surface_volume_function(model, k, h):
     lat = model.lattice
     if not lat.is_psef(a_vec):
         return PiecewisePoly.zero()
-    reach = _polyhedral_psef_reach(lat, a_vec, h_vec)
-    if reach is None or reach <= 0:
+    reach = lat.psef_interval(a_vec, tuple(-x for x in h_vec))[1]
+    if reach is None:
+        raise InvalidModel("polarization direction stays pseudo-effective forever")
+    if reach <= 0:
         return PiecewisePoly.zero()
     breakpoints, pieces = _zariski_chamber_walk(lat, a_vec, h_vec, reach)
     return PiecewisePoly(breakpoints, pieces)
-
-
-def _polyhedral_psef_reach(lat: SurfaceLattice, a_vec, h_vec):
-    """max{t : a - t*h in the generated psef cone} by exact LP."""
-    res = lat.psef_lp(a_vec, tuple(-x for x in h_vec), "max")
-    if res.status == "infeasible":
-        return None
-    if res.status == "unbounded":
-        raise InvalidModel("polarization direction stays pseudo-effective forever")
-    return res.value
 
 
 def _chamber_data(lat: SurfaceLattice, a_vec, h_vec, support):
@@ -404,10 +396,10 @@ def psef_threshold_anticanonical(model):
         if ample is not None:
             return _round_end(pair(mk, mk), 2 * pair(mk, h_vec), pair(h_vec, h_vec),
                               pair(mk, ample), pair(h_vec, ample))
-        res = model.lattice.psef_lp(mk, h_vec, "min")
-        if not res.is_optimal:
+        ends = model.lattice.psef_interval(mk, h_vec)
+        if ends is None or ends[0] is None:
             raise InvalidModel("anticanonical threshold has no finite value")
-        return res.value
+        return ends[0]
     raise TypeError(f"not a polarized model: {model!r}")
 
 

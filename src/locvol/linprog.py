@@ -4,6 +4,11 @@ Two-phase primal simplex on a dense Fraction tableau with Bland's pivoting
 rule, so termination is guaranteed and every reported optimum is exact.
 Problems arrive as systems of lower bounds <coeffs, x> >= rhs on free
 variables; internally x splits into a difference of non-negative parts.
+
+No package module imports it: it is the tests' exact reference for what
+the package reads off double descriptions.  It stays in the package,
+rather than in the tests, as long as the benchmark's tracer wraps
+`solve_lp` and `_pivot` by name (ROADMAP item 5).
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ a relatively nef part and an effective part supported where nefness fails;
 the singularity volume is minus the self-intersection of the nef part of the
 log-canonical vector.  The same growing-support iteration also computes
 volumes of divisor classes on projective-surface lattices against a declared
-list of negative curves.
+list of negative curves, whose pseudo-effective cone is either round or
+spanned by declared generators; a spanned cone is read through its facet
+normals, from one double description.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import LocvolError
-from .linalg import clear_denominators, solve_linear
-from .linprog import INFEASIBLE, LPResult, solve_lp
+from .linalg import clear_denominators, dot, primitive, solve_linear
 
 
 class SurfaceError(LocvolError):
@@ -217,7 +218,8 @@ class SurfaceLattice:
 
     The Gram matrix must have signature (1, rank-1).  Negative curves are
     trusted to be the complete list; when `psef_generators` is empty the
-    pseudo-effective cone is the round cone {D : D.D >= 0, D.ample >= 0}.
+    pseudo-effective cone is the round cone {D : D.D >= 0, D.ample >= 0},
+    and otherwise it is the cone they span, held as its facet normals.
     """
 
     def __init__(self, gram, canonical, ample, negative_curves=(),
@@ -247,6 +249,7 @@ class SurfaceLattice:
                 raise InvalidLattice(f"declared curve {c} is not negative")
             if _bilinear(self.ample, gram, c) <= 0:
                 raise InvalidLattice(f"declared curve {c} meets the ample class badly")
+        self.psef_normals = _psef_normals(self) if self.psef_generators else ()
 
     def pair(self, u, v) -> Fraction:
         return _bilinear(u, self.gram, v)
@@ -259,26 +262,58 @@ class SurfaceLattice:
         d = tuple(Fraction(x) for x in d)
         if self.is_round_model:
             return self.pair(d, d) >= 0 and self.pair(d, self.ample) >= 0
-        return self.psef_lp(d, (0,) * self.rank).status != INFEASIBLE
+        return self.psef_interval(d, (0,) * self.rank) is not None
 
-    def psef_lp(self, a, h, sense: str = "max") -> LPResult:
-        """Optimize t subject to a + t*h in the cone of `psef_generators`.
+    def psef_interval(self, a, h):
+        """Ends (lo, hi) of {t : a + t*h in the cone of `psef_generators`},
+        None at an open end; None when no t qualifies.  Each facet normal f
+        needs <f, a> + t*<f, h> >= 0."""
+        lo = hi = None
+        for f in self.psef_normals:
+            fa, fh = dot(f, a), dot(f, h)
+            if fh == 0:
+                if fa < 0:
+                    return None
+                continue
+            t = -Fraction(fa) / fh
+            if fh > 0:
+                lo = t if lo is None else max(lo, t)
+            else:
+                hi = t if hi is None else min(hi, t)
+        if lo is not None and hi is not None and lo > hi:
+            return None
+        return lo, hi
 
-        The variables are t and a non-negative weight per generator.  With
-        h = 0 the LP is unbounded when a is pseudo-effective and infeasible
-        when it is not.
-        """
-        gens = self.psef_generators
-        k = len(gens)
-        rows = []
-        for coord in range(self.rank):
-            coeffs = (Fraction(h[coord]),) + tuple(-g[coord] for g in gens)
-            rows.append((coeffs, -Fraction(a[coord])))
-            rows.append((tuple(-c for c in coeffs), Fraction(a[coord])))
-        for i in range(k):
-            unit = (0,) + tuple(1 if j == i else 0 for j in range(k))
-            rows.append((unit, Fraction(0)))
-        return solve_lp((1,) + (0,) * k, rows, sense)
+
+def _psef_normals(lat: SurfaceLattice):
+    """Facet normals of the cone the psef generators span, once it is checked
+    to be a surface's pseudo-effective cone.  Such a cone holds the ample
+    class in its interior and, by Riemann-Roch, every class D with D^2 > 0
+    and D.A > 0; it holds no line, as a nonzero pseudo-effective class meets
+    A positively; and an extremal class of negative square is a curve, so
+    the declared curves lie in it and each such extreme ray is one of them.
+    """
+    from .geometry import cone_extreme_rays  # round models never load it
+
+    normals, lineality = cone_extreme_rays(lat.psef_generators, lat.rank)
+    if lineality or any(dot(f, lat.ample) <= 0 for f in normals):
+        raise InvalidLattice("ample class must lie inside the pseudo-effective cone")
+    # with f.A > 0, f >= 0 on the positive cone iff the class g^-1 f squares to >= 0
+    if any(dot(f, solve_linear(lat.gram, f)) < 0 for f in normals):
+        raise InvalidLattice("pseudo-effective cone must hold every class of "
+                             "positive square that meets the ample class positively")
+    for c in lat.negative_curves:
+        if any(dot(f, c) < 0 for f in normals):
+            raise InvalidLattice(f"declared curve {c} is not pseudo-effective")
+    rays, line = cone_extreme_rays(normals, lat.rank)
+    if line:
+        raise InvalidLattice("pseudo-effective cone must not contain a line")
+    declared = {primitive(c) for c in lat.negative_curves}
+    for r in rays:
+        if lat.pair(r, r) < 0 and r not in declared:
+            raise InvalidLattice(f"extremal class {r} has negative square but is "
+                                 "no declared curve")
+    return tuple(normals)
 
 
 def lattice_zariski(lattice: SurfaceLattice, d):

@@ -9,11 +9,13 @@ Fourier-Motzkin elimination, the independent reference for the
 double-description slides of `locvol.toric.saturate_region`; the exact
 simplex, the independent reference for set equality and for the capping
 values and positive functionals that `locvol.geometry` takes from double
-description; and the checkers and accessors only tests use: an exact
-Sturm-sequence monotonicity check of piecewise polynomials, cube-root
-enclosures at a given width, ideal membership, the dual cone as a
-polyhedron, a polyhedron's rows as LP input, a scaled toric divisor, the
-interior rays of a toric datum and relabelled dual graphs.
+description, and for the pseudo-effective intervals that `locvol.surface`
+reads off the facet normals of a generated cone (`psef_lp`, the LP the
+package solved before); and the checkers and accessors only tests use:
+an exact Sturm-sequence monotonicity check of piecewise polynomials,
+cube-root enclosures at a given width, ideal membership, the dual cone
+as a polyhedron, a polyhedron's rows as LP input, a scaled toric
+divisor, the interior rays of a toric datum and relabelled dual graphs.
 """
 
 from fractions import Fraction as F
@@ -228,6 +230,27 @@ def lp_cap(inner, outer, w):
 def lp_has_positive_functional(rays, dim):
     """Whether some w has <w, r> >= 1 on every ray: LP feasibility."""
     return solve_lp([0] * dim, [(r, F(1)) for r in rays]).is_optimal
+
+
+def psef_lp(lattice, a, h, sense="max"):
+    """Optimize t subject to a + t*h in the cone of the lattice's
+    `psef_generators`, by exact LP.
+
+    The variables are t and a non-negative weight per generator.  With
+    h = 0 the LP is unbounded when a is pseudo-effective and infeasible
+    when it is not.
+    """
+    gens = lattice.psef_generators
+    k = len(gens)
+    lp_rows = []
+    for coord in range(lattice.rank):
+        coeffs = (F(h[coord]),) + tuple(-g[coord] for g in gens)
+        lp_rows.append((coeffs, -F(a[coord])))
+        lp_rows.append((tuple(-c for c in coeffs), F(a[coord])))
+    for i in range(k):
+        unit = (0,) + tuple(1 if j == i else 0 for j in range(k))
+        lp_rows.append((unit, F(0)))
+    return solve_lp((1,) + (0,) * k, lp_rows, sense)
 
 
 def _poly_trim(p):

@@ -365,6 +365,35 @@ def test_polarization_meeting_the_ample_class_negatively_exits_3(
     result_validator.validate(err)
 
 
+# psef generators that no surface's pseudo-effective cone has: (model, the
+# refusal's message); each used to print a volume or fail in the wrong place
+INCONSISTENT_PSEF_CONES = {
+    # the extremal class (0, 1) has square -1 but is no declared curve
+    "undeclared-negative-ray": (
+        {"gram": [[1, 0], [0, -1]], "ample": [3, 0], "canonical": [2, 3], "h": [3, 0],
+         "psef_generators": [[2, 2], [0, 1], [2, -2]]}, "negative square"),
+    "one-ray": ({"psef_generators": [[1, 0]]}, "ample class must lie inside"),
+    "ample-outside": ({"canonical": [-2, -2], "psef_generators": [[1, 0], [1, -1]]},
+                      "ample class must lie inside"),
+    "half-plane": ({"canonical": [-2, -2], "psef_generators": [[1, 0], [0, 1], [-1, 0]]},
+                   "contain a line"),
+}
+
+
+@pytest.mark.parametrize("sub", ["cone-volume", "bdff-volume"])
+@pytest.mark.parametrize("case", sorted(INCONSISTENT_PSEF_CONES))
+def test_inconsistent_psef_generators_exit_3(tmp_path, result_validator, case, sub):
+    model, message = INCONSISTENT_PSEF_CONES[case]
+    problem = _fixture_with("p1xC.json", lambda p: p["model"].update(model))
+    problem["kind"] = "cone"
+    code, out, _ = invoke(sub, write_problem(tmp_path, problem))
+    assert code == 3, out
+    err = json.loads(out)
+    assert err["error"]["name"] == "InvalidLattice"
+    assert message in err["error"]["message"]
+    result_validator.validate(err)
+
+
 def test_explicit_flag_beats_file_options_which_beat_defaults(tmp_path):
     def last_index(*argv):
         code, out, _ = invoke(*argv)
@@ -538,13 +567,16 @@ def test_no_subcommand_loads_numpy_or_jsonschema(tmp_path):
 CLI_MODULES = ["locvol", "locvol.cli", "locvol.exactnum"]
 # the kernel modules each family of subcommands loads on top of CLI_MODULES:
 # toric calls need no surface or cone layer, and surface and cone calls
-# need no polyhedral kernel (geometry), toric or monomial layer
+# need no toric or monomial layer, nor the polyhedral kernel (geometry)
+# unless a lattice's psef cone is spanned by generators
 FAMILY_MODULES = {
     "toric": ["geometry", "linalg", "toric"],
     "monomial": ["geometry", "linalg", "monomial", "toric"],
-    "surface": ["linalg", "linprog", "surface"],
-    "cone": ["cone", "linalg", "linprog", "surface"],
+    "surface": ["linalg", "surface"],
+    "cone": ["cone", "linalg", "surface"],
 }
+# p1xC.json's lattice has psef generators: its cone takes one double description
+PSEF_GENERATOR_FIXTURES = {"p1xC.json": ["geometry"]}
 SUBCOMMAND_FAMILY = {
     "toric-volume": "toric", "toric-h1": "toric", "fujita-check": "toric",
     "convexity-check": "toric", "monomial-mult": "monomial",
@@ -556,7 +588,8 @@ SUBCOMMAND_FAMILY = {
 @pytest.mark.parametrize("sub, name", SUBCOMMAND_FIXTURES)
 def test_each_subcommand_loads_only_its_family(sub, name):
     assert sorted(SUBCOMMAND_FAMILY) == sorted(SUBCOMMANDS)
-    family = [f"locvol.{m}" for m in FAMILY_MODULES[SUBCOMMAND_FAMILY[sub]]]
+    family = [f"locvol.{m}" for m in FAMILY_MODULES[SUBCOMMAND_FAMILY[sub]]
+              + PSEF_GENERATOR_FIXTURES.get(name, [])]
     assert import_probe([(sub, fixture(name))], third_party=False) == [
         ["import locvol", [], ["locvol"]],
         ["import locvol.cli", [], CLI_MODULES],

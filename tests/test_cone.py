@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +28,7 @@ from locvol.surface import SurfaceLattice, projective_volume
 
 from _identities import (
     is_nonincreasing,
+    psef_lp,
     reference_threshold,
     reference_volume_function,
 )
@@ -410,3 +412,102 @@ def test_round_lattice_models_walk_as_before():
         if model is not None:
             accepted[rank] += 1
             _check_against_reference(model)
+
+
+# -- the psef interval from facet normals against the simplex -----------------
+
+# rational surfaces as (gram, ample class, generators of the psef cone, the
+# negative curves among them): the Hirzebruch surfaces F_0, F_1 and F_3 on
+# (section, fibre), and the plane blown up in two and in three points on
+# (line, exceptional curves)
+_BL3 = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+        (1, -1, -1, 0), (1, -1, 0, -1), (1, 0, -1, -1))
+PSEF_SURFACES = {
+    2: [(((0, 1), (1, 0)), (1, 1), ((1, 0), (0, 1)), ()),
+        (((-1, 1), (1, 0)), (1, 2), ((1, 0), (0, 1)), ((1, 0),)),
+        (((-3, 1), (1, 0)), (1, 4), ((1, 0), (0, 1)), ((1, 0),))],
+    3: [(((1, 0, 0), (0, -1, 0), (0, 0, -1)), (3, -1, -1),
+         ((0, 1, 0), (0, 0, 1), (1, -1, -1)), ((0, 1, 0), (0, 0, 1), (1, -1, -1)))],
+    4: [(((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)), (3, -1, -1, -1),
+         _BL3, _BL3)],
+}
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _random_psef_model(rng, rank):
+    """A lattice model on one of PSEF_SURFACES in seeded unimodular
+    coordinates, with up to 6 generators (the extra ones are positive
+    combinations) and seeded ample class, canonical and polarization, or
+    None when the constructors refuse it."""
+    gram, ample, gens, curves = rng.choice(PSEF_SURFACES[rank])
+    # coordinates y = u x, with u a product of elementary matrices and v = u^-1
+    u = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    v = [row[:] for row in u]
+    for _ in range(3):
+        i, j = rng.sample(range(rank), 2)
+        k = rng.choice((-1, 1))
+        e = [[int(a == b) + k * ((a, b) == (i, j)) for b in range(rank)] for a in range(rank)]
+        e_inv = [[int(a == b) - k * ((a, b) == (i, j)) for b in range(rank)] for a in range(rank)]
+        u, v = _mat_mul(e, u), _mat_mul(v, e_inv)
+    gram = _mat_mul(list(zip(*v)), _mat_mul(gram, v))
+
+    def move(c):
+        return tuple(sum(x * y for x, y in zip(row, c)) for row in u)
+
+    gens, curves = [move(g) for g in gens], [move(c) for c in curves]
+
+    def combination(vectors):
+        w = [rng.randint(1, 3) for _ in vectors]
+        return tuple(sum(c * g[i] for c, g in zip(w, vectors)) for i in range(rank))
+
+    def near_ample():
+        return tuple(rng.randint(1, 3) * a + b
+                     for a, b in zip(move(ample), combination(rng.sample(gens, 1))))
+
+    spanning = gens + [combination(rng.sample(gens, rng.randint(1, len(gens))))
+                       for _ in range(rng.randint(0, 6 - len(gens)))]
+    rng.shuffle(spanning)
+    canonical = [rng.randint(-3, 3) for _ in range(rank)]
+    try:
+        lat = SurfaceLattice(gram, canonical, near_ample(), curves, spanning)
+        return LatticeModel(lat, canonical, near_ample())
+    except (ValueError, LocvolError):
+        return None
+
+
+def test_psef_interval_matches_the_simplex():
+    # is_psef, the interval's ends in both senses (h = 0 among the directions),
+    # the anticanonical threshold and the volume function's reach all equal
+    # what the exact LP over the generators gives
+    rng = random.Random(26)
+    accepted, statuses = Counter(), Counter()
+    while sum(accepted.values()) < 48:
+        rank = min(PSEF_SURFACES, key=lambda r: accepted[r])
+        model = _random_psef_model(rng, rank)
+        if model is None:
+            continue
+        accepted[rank] += 1
+        lat = model.lattice
+        for _ in range(2):
+            a = [F(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(rank)]
+            h = rng.choice([[rng.randint(-2, 2) for _ in range(rank)]] * 3 + [[0] * rank])
+            lo, hi = (psef_lp(lat, a, h, sense) for sense in ("min", "max"))
+            statuses.update((lo.status, hi.status))
+            ends = tuple(None if r.status == "unbounded" else r.value for r in (lo, hi))
+            assert lat.psef_interval(a, h) == (None if hi.status == "infeasible" else ends)
+            assert lat.is_psef(a) == (psef_lp(lat, a, [0] * rank).status != "infeasible")
+        mk = [-x for x in model.canonical]
+        res = psef_lp(lat, mk, model.polarization, "min")
+        assert res.is_optimal and psef_threshold_anticanonical(model) == res.value
+        for k, h in SHIFTS[:2]:
+            a = [k * x + h * y for x, y in zip(model.canonical, model.polarization)]
+            reach = psef_lp(lat, a, [-x for x in model.polarization], "max")
+            series = volume_function(model, k, h)
+            if lat.is_psef(a) and reach.value > 0:
+                assert series.breakpoints[-1] == reach.value
+            else:
+                assert series.pieces == ()
+    assert set(statuses) == {"infeasible", "optimal", "unbounded"}, statuses

@@ -43,10 +43,10 @@ def test_numpy_is_not_imported_at_module_level():
     assert not found, found
 
 
-def _locvol_imports(path):
-    """The locvol modules a package module imports, at any depth of its code."""
+def _locvol_imports(nodes):
+    """The locvol modules a package module's nodes import."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in nodes:
         if isinstance(node, ast.Import):
             found |= {a.name for a in node.names if a.name.partition(".")[0] == "locvol"}
         elif isinstance(node, ast.ImportFrom) and node.level:
@@ -62,13 +62,17 @@ def _locvol_imports(path):
 
 def test_import_layers():
     # the layering that lets each subcommand load only its family of modules
-    imports = {path.stem: _locvol_imports(path) for path in SRC.glob("*.py")}
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
+    imports = {name: _locvol_imports(ast.walk(tree)) for name, tree in trees.items()}
     assert imports["linalg"] == imports["linprog"] == set()
+    # the simplex is the tests' reference only: no package module runs it
+    assert [name for name, found in imports.items() if "locvol.linprog" in found] == []
+    # a lattice with psef generators reads its cone by double description,
+    # loading geometry on demand, so dual graphs and round models never do
+    assert "locvol.geometry" in imports["surface"]
+    assert "locvol.geometry" not in _locvol_imports(_import_time_nodes(trees["surface"]))
+    assert not imports["surface"] & {"locvol.toric", "locvol.monomial"}, imports["surface"]
     polyhedral = {"locvol.geometry", "locvol.toric", "locvol.monomial"}
-    # the polyhedral kernel solves no LP: the psef cone LP is the only client
-    assert [name for name, found in imports.items() if "locvol.linprog" in found] == [
-        "surface"]
-    assert not imports["surface"] & polyhedral, imports["surface"]
     assert not imports["cone"] & polyhedral, imports["cone"]
     assert [name for name, found in imports.items() if "locvol.cli" in found] == []
 

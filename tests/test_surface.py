@@ -197,6 +197,21 @@ def test_lattice_validation():
                        negative_curves=((1, 0),))
 
 
+def test_psef_generators_must_span_a_surface_cone():
+    # F_1 on (line, exceptional curve E): the cone of E and L - E is accepted
+    gram, ample, curves = [[1, 0], [0, -1]], (3, -1), ((0, 1),)
+    assert SurfaceLattice(gram, (0, 0), ample, curves, ((0, 1), (1, -1))).psef_normals
+    # the cone of E and 2L - E misses L - E, of square 0 and L.A > 0
+    with pytest.raises(InvalidLattice, match="positive square"):
+        SurfaceLattice(gram, (0, 0), ample, curves, ((0, 1), (2, -1)))
+    # L - 2E has square -3 and meets A positively, but lies outside the cone
+    with pytest.raises(InvalidLattice, match=r"\(1, -2\) is not pseudo-effective"):
+        SurfaceLattice(gram, (0, 0), ample, curves + ((1, -2),), ((0, 1), (1, -1)))
+    # E spans an extreme ray of square -1, so it must be declared
+    with pytest.raises(InvalidLattice, match="no declared curve"):
+        SurfaceLattice(gram, (0, 0), ample, (), ((0, 1), (1, -1)))
+
+
 def test_round_model_volumes():
     lat = SurfaceLattice([[2, 3], [3, 2]], (0, 0), (1, 1))
     assert projective_volume(lat, (1, 1)) == 10  # ample class: self-intersection
