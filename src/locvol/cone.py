@@ -1,13 +1,16 @@
 """Invariants of cone singularities over polarized projective models.
 
 A polarized model (curve, projective space, abelian-type double cover, or an
-explicit surface lattice) supports an exact volume function t -> vol(A - tH)
-as a piecewise polynomial with rational or quadratic-irrational breakpoints.
-The singularity volume integrates the canonical class's function, the
-gamma-volume integrates the canonical-plus-polarization function, and the
-nef-envelope volume is the pseudo-effective threshold of the anticanonical
-class raised to the singularity dimension times the polarization degree.
-All integration is symbolic antidifferentiation; nothing is numeric.
+explicit surface lattice) of dimension `dim` supports an exact volume
+function t -> vol(A - tH) as a piecewise polynomial with rational or
+quadratic-irrational breakpoints.  The singularity volume integrates the
+canonical class's function, the gamma-volume integrates the
+canonical-plus-polarization function, and the nef-envelope volume is the
+pseudo-effective threshold of the anticanonical class raised to the
+singularity dimension times the polarization degree.  Curves and projective
+spaces have Picard rank one, so K and H are integer multiples of one class l
+with l^n = 1 and vol(x*l) = x^n (`_rank_one`); surface models walk their
+pseudo-effective cone.  All integration is symbolic; nothing is numeric.
 """
 
 from __future__ import annotations
@@ -114,6 +117,7 @@ class Curve:
     """Smooth projective curve with a polarization of the given degree."""
 
     __slots__ = ("genus", "degree", "general_position")
+    dim = 1
 
     def __init__(self, genus: int, degree: int, general_position: bool = False):
         if genus < 0 or degree < 1:
@@ -146,6 +150,7 @@ class AbelianCover:
     """
 
     __slots__ = ("base_sq", "mixed", "pol_sq")
+    dim = 2
 
     def __init__(self, base_sq: int, mixed: int, pol_sq: int):
         if min(base_sq, mixed, pol_sq) <= 0:
@@ -160,6 +165,7 @@ class LatticeModel:
     vectors; `envelope_nef_certified` asserts psef = nef where needed."""
 
     __slots__ = ("lattice", "canonical", "polarization", "envelope_nef_certified")
+    dim = 2
 
     def __init__(self, lattice: SurfaceLattice, canonical, polarization,
                  envelope_nef_certified: bool = False):
@@ -177,24 +183,24 @@ class LatticeModel:
         self.envelope_nef_certified = envelope_nef_certified
 
 
-def model_dim(model) -> int:
-    """Dimension of the polarized variety (the singularity has one more)."""
+def _rank_one(model):
+    """The integers (kappa, eta) with K = kappa*l and H = eta*l on a curve
+    (l a point) or a projective space (l a hyperplane), where l^n = 1."""
     if isinstance(model, Curve):
-        return 1
-    if isinstance(model, ProjSpace):
-        return model.dim
-    if isinstance(model, (AbelianCover, LatticeModel)):
-        return 2
-    raise TypeError(f"not a polarized model: {model!r}")
+        return 2 * model.genus - 2, model.degree
+    return -(model.dim + 1), model.h
 
 
 def _surface_form(model):
     """(pairing, ample class, K, H) of a surface model; the ample class is
-    None when the pseudo-effective cone is polyhedral rather than round."""
+    None when the pseudo-effective cone is polyhedral rather than round.
+    The one place a non-model is refused."""
     if isinstance(model, AbelianCover):
         d2, dl, l2 = 2 * model.base_sq, 2 * model.mixed, 2 * model.pol_sq
         gram = ((d2, dl), (dl, l2))
         return (lambda u, v: _bilinear(u, gram, v)), (0, 1), (1, 0), (0, 1)
+    if not isinstance(model, LatticeModel):
+        raise TypeError(f"not a polarized model: {model!r}")
     lat = model.lattice
     ample = lat.ample if lat.is_round_model else None
     return lat.pair, ample, model.canonical, model.polarization
@@ -202,14 +208,10 @@ def _surface_form(model):
 
 def polarization_degree(model):
     """Top self-intersection of the polarization on the model."""
-    if isinstance(model, Curve):
-        return Fraction(model.degree)
-    if isinstance(model, ProjSpace):
-        return Fraction(model.h ** model.dim)
-    if isinstance(model, (AbelianCover, LatticeModel)):
-        pair, _, _, h_vec = _surface_form(model)
-        return pair(h_vec, h_vec)
-    raise TypeError(f"not a polarized model: {model!r}")
+    if isinstance(model, (Curve, ProjSpace)):
+        return Fraction(_rank_one(model)[1] ** model.dim)
+    pair, _, _, h_vec = _surface_form(model)
+    return pair(h_vec, h_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -219,26 +221,16 @@ def polarization_degree(model):
 def volume_function(model, k_canonical=1, k_polarization=0) -> PiecewisePoly:
     """Exact vol(k*K + h*H - t*H) on t >= 0 as a PiecewisePoly."""
     k, h = Fraction(k_canonical), Fraction(k_polarization)
-    if isinstance(model, Curve):
-        deg0 = k * (2 * model.genus - 2) + h * model.degree
-        if deg0 <= 0:
-            return PiecewisePoly.zero()
-        return PiecewisePoly(
-            [Fraction(0), deg0 / model.degree],
-            [(deg0, Fraction(-model.degree))],
-        )
-    if isinstance(model, ProjSpace):
-        a0 = -k * (model.dim + 1) + h * model.h
-        if a0 <= 0:
-            return PiecewisePoly.zero()
-        coeffs = tuple(
-            comb(model.dim, j) * a0 ** (model.dim - j) * Fraction(-model.h) ** j
-            for j in range(model.dim + 1)
-        )
-        return PiecewisePoly([Fraction(0), a0 / model.h], [coeffs])
-    if isinstance(model, (AbelianCover, LatticeModel)):
+    if not isinstance(model, (Curve, ProjSpace)):
         return _surface_volume_function(model, k, h)
-    raise TypeError(f"not a polarized model: {model!r}")
+    kappa, eta = _rank_one(model)
+    n, a = model.dim, k * kappa + h * eta
+    if a <= 0:
+        return PiecewisePoly.zero()
+    # vol((a - t*eta)*l) = (a - t*eta)^n, pseudo-effective until t = a/eta;
+    # the powers of eta stay integers
+    coeffs = tuple(comb(n, j) * a ** (n - j) * (-eta) ** j for j in range(n + 1))
+    return PiecewisePoly([Fraction(0), a / eta], [coeffs])
 
 
 def _round_end(c0, c1, c2, l0, l1):
@@ -371,59 +363,47 @@ def _zariski_chamber_walk(lat: SurfaceLattice, a_vec, h_vec, reach):
 def cone_singularity_volume(model):
     """Volume of the cone singularity: n times the integral of the canonical
     class's volume function; zero exactly for non-general-type models."""
-    n = model_dim(model) + 1
     series = volume_function(model, 1, 0)
-    return _simplify(n * series.integral())
+    return _simplify((model.dim + 1) * series.integral())
 
 
 def cone_gamma_volume(model):
     """Growth of the resolution's canonical sections: the canonical class is
     the pullback of K + H, so integrate that volume function."""
-    n = model_dim(model) + 1
     series = volume_function(model, 1, 1)
-    return _simplify(n * series.integral())
+    return _simplify((model.dim + 1) * series.integral())
 
 
 def psef_threshold_anticanonical(model):
     """min{t : -K + t*H pseudo-effective}, exactly."""
-    if isinstance(model, Curve):
-        return Fraction(2 * model.genus - 2, model.degree)
-    if isinstance(model, ProjSpace):
-        return Fraction(-(model.dim + 1), model.h)
-    if isinstance(model, (AbelianCover, LatticeModel)):
-        pair, ample, canonical, h_vec = _surface_form(model)
-        mk = tuple(-x for x in canonical)
-        if ample is not None:
-            return _round_end(pair(mk, mk), 2 * pair(mk, h_vec), pair(h_vec, h_vec),
-                              pair(mk, ample), pair(h_vec, ample))
-        ends = model.lattice.psef_interval(mk, h_vec)
-        if ends is None or ends[0] is None:
-            raise InvalidModel("anticanonical threshold has no finite value")
-        return ends[0]
-    raise TypeError(f"not a polarized model: {model!r}")
-
-
-def _envelope_hypothesis_holds(model) -> bool:
-    if isinstance(model, (Curve, ProjSpace, AbelianCover)):
-        return True  # psef = nef is structural on these models
-    if isinstance(model, LatticeModel):
-        return model.envelope_nef_certified or not model.lattice.negative_curves
-    return False
+    if isinstance(model, (Curve, ProjSpace)):
+        return Fraction(*_rank_one(model))
+    pair, ample, canonical, h_vec = _surface_form(model)
+    mk = tuple(-x for x in canonical)
+    if ample is not None:
+        return _round_end(pair(mk, mk), 2 * pair(mk, h_vec), pair(h_vec, h_vec),
+                          pair(mk, ample), pair(h_vec, ample))
+    ends = model.lattice.psef_interval(mk, h_vec)
+    if ends is None or ends[0] is None:
+        raise InvalidModel("anticanonical threshold has no finite value")
+    return ends[0]
 
 
 def bdff_cone_volume(model):
     """Nef-envelope volume: threshold^n times the polarization degree,
     zero when the threshold is negative."""
-    if not _envelope_hypothesis_holds(model):
+    # psef = nef is structural on curves, projective spaces and covers; a
+    # lattice needs no negative curves or the caller's certificate
+    if (isinstance(model, LatticeModel) and model.lattice.negative_curves
+            and not model.envelope_nef_certified):
         raise HypothesisNotAsserted(
             "cannot certify that the anticanonical envelope is relatively nef; "
             "pass envelope_nef_certified=True to assert it"
         )
-    n = model_dim(model) + 1
     threshold = psef_threshold_anticanonical(model)
     if threshold <= 0:
         return Fraction(0)
-    return _simplify(threshold ** n * polarization_degree(model))
+    return _simplify(threshold ** (model.dim + 1) * polarization_degree(model))
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +439,13 @@ def lambda_sequence(model, m_max: int):
     lambda_m sums section counts of m*K - k*H over k >= 1; only models with
     exact section counts (curves, projective spaces) are supported.
     """
-    n = model_dim(model) + 1
-    out = []
     if isinstance(model, ProjSpace):
-        for m in range(1, m_max + 1):
-            out.append((m, 0, Fraction(0)))  # m*K - k*H has negative degree
-        return out
+        # m*K - k*H has negative degree
+        return [(m, 0, Fraction(0)) for m in range(1, m_max + 1)]
     if not isinstance(model, Curve):
         raise ConeError("lambda sequences need exact section counts "
                         "(curve or projective-space models)")
+    n, out = model.dim + 1, []
     g, d = model.genus, model.degree
     for m in range(1, m_max + 1):
         top = m * (2 * g - 2)  # lambda_m sums h^0 at the degrees x_k = top - k*d

@@ -116,20 +116,21 @@ class DualGraph:
         if any(s > -1 or g < 0 for s, g in verts):
             raise ValueError("need self-intersections <= -1 and genera >= 0")
         n = len(verts)
-        m = [[0] * n for _ in range(n)]
-        for i, (s, _) in enumerate(verts):
-            m[i][i] = s
+        parsed = []  # one pass, so a one-shot iterable of edges is read once
         for e in edges:
             i, j, mult = (int(e[0]), int(e[1]), int(e[2]) if len(e) > 2 else 1)
             if i == j or not (0 <= i < n and 0 <= j < n) or mult < 1:
                 raise ValueError(f"bad edge {e}")
+            parsed.append((i, j, mult))
+        m = [[0] * n for _ in range(n)]
+        for i, (s, _) in enumerate(verts):
+            m[i][i] = s
+        for i, j, mult in parsed:
             m[i][j] += mult
             m[j][i] += mult
         if not ldl_pivots_negative(m):
             raise NotNegativeDefinite("intersection matrix is not negative definite")
-        self.vertices = tuple(verts)
-        self.edges = tuple((int(e[0]), int(e[1]), int(e[2]) if len(e) > 2 else 1)
-                           for e in edges)
+        self.vertices, self.edges = tuple(verts), tuple(parsed)
         self.matrix = tuple(tuple(row) for row in m)
 
     @property

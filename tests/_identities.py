@@ -4,7 +4,9 @@ A symbolic check that the integrated double-cover volume equals the closed
 form identically, modulo the threshold's defining quadratic relation; the
 two root-selection routines and the downstairs double-cover walk that
 `locvol.cone` used before covers and round lattice models shared one walk,
-the reference the shared walk is checked against;
+and its separate curve and projective-space formulas from before they
+shared the rank-one route, the references the shared routes are checked
+against;
 Fourier-Motzkin elimination, the independent reference for the
 double-description slides of `locvol.toric.saturate_region`; the exact
 simplex, the independent reference for set equality and for the capping
@@ -19,8 +21,11 @@ divisor, the interior rays of a toric datum and relabelled dual graphs.
 """
 
 from fractions import Fraction as F
+from math import comb
 
-from locvol.cone import AbelianCover, ConeError, PiecewisePoly, _as_number, _poly_eval, _simplify
+from locvol.cone import (
+    AbelianCover, ConeError, Curve, PiecewisePoly, ProjSpace, _as_number, _poly_eval, _simplify,
+)
 from locvol.exactnum import QuadraticNumber, nth_root_bounds, solve_quadratic
 from locvol.geometry import Halfspace, Polyhedron
 from locvol.linalg import dot
@@ -131,9 +136,22 @@ def _abelian_volume_function(model: AbelianCover, k, h):
 
 
 def reference_volume_function(model, k, h):
-    """vol(kK + hH - tH) of a double cover (downstairs, doubled) or a round
-    lattice model, by the walks the package used before they were shared."""
+    """vol(kK + hH - tH) of a curve, a projective space, a double cover
+    (downstairs, doubled) or a round lattice model, by the per-family
+    formulas and walks the package used before they were shared."""
     k, h = F(k), F(h)
+    if isinstance(model, Curve):
+        deg0 = k * (2 * model.genus - 2) + h * model.degree
+        if deg0 <= 0:
+            return PiecewisePoly.zero()
+        return PiecewisePoly([F(0), deg0 / model.degree], [(deg0, F(-model.degree))])
+    if isinstance(model, ProjSpace):
+        a0 = -k * (model.dim + 1) + h * model.h
+        if a0 <= 0:
+            return PiecewisePoly.zero()
+        coeffs = tuple(comb(model.dim, j) * a0 ** (model.dim - j) * F(-model.h) ** j
+                       for j in range(model.dim + 1))
+        return PiecewisePoly([F(0), a0 / model.h], [coeffs])
     if isinstance(model, AbelianCover):
         return _abelian_volume_function(model, k, h)
     lat, h_vec = model.lattice, model.polarization
@@ -149,8 +167,13 @@ def reference_volume_function(model, k, h):
 
 
 def reference_threshold(model):
-    """min{t : -K + tH psef} of a double cover or a round lattice model, by
-    the upward root selection the package used before the walks were shared."""
+    """min{t : -K + tH psef} of a curve, a projective space, a double cover or
+    a round lattice model, by the per-family formulas and the upward root
+    selection the package used before they were shared."""
+    if isinstance(model, Curve):
+        return F(2 * model.genus - 2, model.degree)
+    if isinstance(model, ProjSpace):
+        return F(-(model.dim + 1), model.h)
     if isinstance(model, AbelianCover):
         d2, dl, l2 = model.base_sq, model.mixed, model.pol_sq
         return _min_psef_root(c0=F(d2), c1=F(-2 * dl), c2=F(l2), l0=F(-dl), l1=F(l2))
@@ -161,6 +184,18 @@ def reference_threshold(model):
         c0=lat.pair(mk, mk), c1=2 * lat.pair(mk, hv), c2=lat.pair(hv, hv),
         l0=lat.pair(mk, lat.ample), l1=lat.pair(hv, lat.ample),
     )
+
+
+def reference_degree(model):
+    """H^n of a curve, a projective space, a double cover or a lattice model,
+    by the per-family formulas the package used before the rank-one route."""
+    if isinstance(model, Curve):
+        return F(model.degree)
+    if isinstance(model, ProjSpace):
+        return F(model.h ** model.dim)
+    if isinstance(model, AbelianCover):
+        return F(2 * model.pol_sq)
+    return model.lattice.pair(model.polarization, model.polarization)
 
 
 def fm_project_out(p, coord):

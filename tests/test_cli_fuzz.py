@@ -5,12 +5,14 @@ record that validates against result.schema.json, and the same file must
 give the same bytes twice, within a generous wall-clock ceiling.  The
 problems are kept small (entries of at most a few units, sequences of a
 few levels) so the ten tests take a few seconds; the budgets that bound
-larger inputs have their own tests.
+larger inputs have their own tests.  One more test checks that the
+lattice draws still reach the generated pseudo-effective cone's paths.
 Records are requested as JSON: CSV output is not a result record.
 """
 
 import io
 import json
+import re
 import time
 from pathlib import Path
 
@@ -213,3 +215,33 @@ def test_schema_valid_problems_end_with_a_deterministic_record(subcommand, tmp_p
         assert time.monotonic() - start < RUN_SECONDS, prob
 
     check()
+
+
+# refusals of `cone-volume` on a lattice whose psef cone fails the checks
+PSEF_REFUSALS = {
+    "line": r"must not contain a line",
+    "negative square": r"^extremal class .* has negative square",
+}
+
+
+def test_lattice_draws_reach_the_psef_cone_paths(tmp_path):
+    # derandomized draws follow this file's source, so an edit may move them:
+    # the draws must still reach a generated psef cone's answer and two of its
+    # refusals (raise the draw count if one turns rare)
+    path, reached = tmp_path / "problem.json", set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(lattice_model())
+    def draw(model):
+        path.write_text(json.dumps({"kind": "cone", "payload": {"model": model}}))
+        code, out = invoke(["cone-volume", str(path)])
+        if code == 0 and "psef_generators" in model:
+            reached.add("answer")
+        elif code != 0:
+            message = json.loads(out)["error"]["message"]
+            reached.update(name for name, pattern in PSEF_REFUSALS.items()
+                           if re.search(pattern, message))
+
+    draw()
+    assert reached == {"answer", *PSEF_REFUSALS}

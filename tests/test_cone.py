@@ -18,6 +18,7 @@ from locvol.cone import (
     cone_gamma_volume,
     cone_singularity_volume,
     lambda_sequence,
+    polarization_degree,
     psef_threshold_anticanonical,
     section_count_curve,
     volume_function,
@@ -29,6 +30,7 @@ from locvol.surface import SurfaceLattice, projective_volume
 from _identities import (
     is_nonincreasing,
     psef_lp,
+    reference_degree,
     reference_threshold,
     reference_volume_function,
 )
@@ -352,23 +354,23 @@ def test_root_sign_guard_raises_cone_error():
         _round_end(F(-1), F(0), F(1), F(-5), F(1))
 
 
-# -- one round walk against the per-model walks it replaced -------------------
+# -- the shared routes against the per-model formulas and walks they replaced -
 
 SHIFTS = ((1, 0), (1, 1), (2, 1), (F(-1, 2), 2))  # (k, h): the first two integrate
 
 
-def _check_against_reference(model):
-    """Every cone invariant of a cover or round lattice model equals, in value
-    and representation, what the per-model walks the shared walk replaced give."""
-    series = {kh: reference_volume_function(model, *kh) for kh in SHIFTS}
+def _check_against_reference(model, shifts=SHIFTS):
+    """Every cone invariant of a model equals, in value and representation,
+    what the per-model formulas and walks the shared routes replaced give."""
+    series = {kh: reference_volume_function(model, *kh) for kh in shifts}
     threshold = reference_threshold(model)
-    degree = (2 * model.pol_sq if isinstance(model, AbelianCover)
-              else model.lattice.pair(model.polarization, model.polarization))
+    degree, n = reference_degree(model), model.dim + 1
     expected = {
-        cone_singularity_volume: _simplify(3 * series[1, 0].integral()),
-        cone_gamma_volume: _simplify(3 * series[1, 1].integral()),
-        bdff_cone_volume: _simplify(threshold ** 3 * degree) if threshold > 0 else F(0),
+        cone_singularity_volume: _simplify(n * series[1, 0].integral()),
+        cone_gamma_volume: _simplify(n * series[1, 1].integral()),
+        bdff_cone_volume: _simplify(threshold ** n * degree) if threshold > 0 else F(0),
         psef_threshold_anticanonical: threshold,
+        polarization_degree: degree,
     }
     for fn, value in expected.items():
         assert repr(fn(model)) == repr(value), fn.__name__
@@ -387,6 +389,31 @@ def test_covers_walk_as_before():
                 degenerate += mixed ** 2 == base_sq * pol_sq
                 _check_against_reference(AbelianCover(base_sq, mixed, pol_sq))
     assert degenerate == 12
+
+
+# k and h each over 21 rationals, 0 and 1 among them
+RANK_ONE_SHIFTS = [(F(k, 3), F(h, 3)) for k in range(-10, 11) for h in range(-10, 11)]
+
+
+def test_rank_one_route_as_before():
+    models = ([Curve(g, d) for g in range(7) for d in range(1, 7)]
+              + [ProjSpace(n, h) for n in range(1, 7) for h in range(1, 6)])
+    for model in models:
+        _check_against_reference(model, RANK_ONE_SHIFTS)
+
+
+def test_every_model_carries_its_dimension(abelian, product_lattice):
+    assert (Curve(2, 1).dim, ProjSpace(4, 1).dim, abelian.dim, product_lattice.dim) == (1, 4, 2, 2)
+
+
+@pytest.mark.parametrize("non_model", [object(), None, "proj_space", (2, 4)])
+def test_a_non_model_is_a_type_error(non_model):
+    for fn in (volume_function, cone_singularity_volume, cone_gamma_volume,
+               bdff_cone_volume, psef_threshold_anticanonical, polarization_degree):
+        with pytest.raises(TypeError, match="not a polarized model"):
+            fn(non_model)
+    with pytest.raises((TypeError, ConeError)):  # an AttributeError fails the test
+        lambda_sequence(non_model, 3)
 
 
 def _random_round_model(rng, rank):

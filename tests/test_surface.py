@@ -53,6 +53,19 @@ def test_negative_definiteness_enforced():
     chain(-2, -2, -2)  # fine
 
 
+def test_edges_from_a_one_shot_iterable():
+    # the edges are read once: a generator gives the graph the list gives
+    verts = [(-5, 1), (-3, 0)]
+    listed = DualGraph(verts, [(0, 1, 2)])
+    streamed = DualGraph(verts, iter([(0, 1, 2)]))
+    assert streamed.edges == listed.edges == ((0, 1, 2),)
+    assert streamed.matrix == listed.matrix
+    assert log_canonical_intersections(streamed) == (F(2), F(0))
+    assert singularity_volume(streamed) == singularity_volume(listed) == F(12, 11)
+    with pytest.raises(ValueError, match=r"bad edge \(0, 2\)"):
+        DualGraph(verts, iter([(0, 1), (0, 2)]))
+
+
 def test_inertia():
     assert symmetric_inertia([[0, 1], [1, 0]]) == (1, 1, 0)
     assert symmetric_inertia([[2, 3], [3, 2]]) == (1, 1, 0)
