@@ -9,8 +9,11 @@ canonical-plus-polarization function, and the nef-envelope volume is the
 pseudo-effective threshold of the anticanonical class raised to the
 singularity dimension times the polarization degree.  Curves and projective
 spaces have Picard rank one, so K and H are integer multiples of one class l
-with l^n = 1 and vol(x*l) = x^n (`_rank_one`); surface models walk their
-pseudo-effective cone.  All integration is symbolic; nothing is numeric.
+with l^n = 1 and vol(x*l) = x^n (`_rank_one`).  Covers and round lattice
+models walk a round pseudo-effective cone to one quadratic piece; lattices
+with a polyhedral cone walk their Zariski chambers in order, one
+decomposition and one solve per chamber (`_zariski_chamber_walk`).  All
+integration is symbolic; nothing is numeric.
 """
 
 from __future__ import annotations
@@ -274,85 +277,52 @@ def _surface_volume_function(model, k, h):
     return PiecewisePoly(breakpoints, pieces)
 
 
-def _chamber_data(lat: SurfaceLattice, a_vec, h_vec, support):
-    """Nef part as a pair (constant vector, t-coefficient vector) on the
-    chamber with the given negative support."""
-    curves = lat.negative_curves
-    n0 = {i: Fraction(0) for i in support}
-    n1 = {i: Fraction(0) for i in support}
-    if support:
-        idx = sorted(support)
-        gram = [[lat.pair(curves[i], curves[j]) for j in idx] for i in idx]
-        rhs0 = [lat.pair(a_vec, curves[i]) for i in idx]
-        rhs1 = [-lat.pair(h_vec, curves[i]) for i in idx]
-        for i, v in zip(idx, solve_linear(gram, rhs0)):
-            n0[i] = v
-        for i, v in zip(idx, solve_linear(gram, rhs1)):
-            n1[i] = v
-    const = list(a_vec)
-    slope = [-x for x in h_vec]
-    for i in support:
-        const = [c - n0[i] * x for c, x in zip(const, curves[i])]
-        slope = [s - n1[i] * x for s, x in zip(slope, curves[i])]
-    return tuple(const), tuple(slope), n0, n1
-
-
 def _zariski_chamber_walk(lat: SurfaceLattice, a_vec, h_vec, reach):
-    """Breakpoints and quadratic pieces of vol(a - t*h) on [0, reach]."""
+    """Breakpoints and quadratic pieces of vol(a - t*h) on [0, reach], in order.
+
+    On a Zariski chamber the negative part is affine in t, so walk(lo, hi)
+    reads the chamber at the middle s off one decomposition (the support S
+    and coefficients x(s)) and one solve on S's Gram matrix (their slope
+    dx).  The piece ends at the walls where a coefficient in S or the nef
+    part's pairing with a curve outside S turns negative; what lies beyond
+    them is walked before and after it.
+    """
     curves = lat.negative_curves
+    breakpoints, pieces = [Fraction(0)], []
 
-    def chamber_at(t):
-        d = tuple(a - t * h for a, h in zip(a_vec, h_vec))
-        _, coeffs = lattice_zariski(lat, d)
-        return frozenset(i for i, v in coeffs.items() if v != 0)
-
-    def piece_for(support):
-        const, slope, n0, n1 = _chamber_data(lat, a_vec, h_vec, support)
-        c0 = lat.pair(const, const)
-        c1 = 2 * lat.pair(const, slope)
-        c2 = lat.pair(slope, slope)
-        # validity bounds: nef against outside curves, coefficients >= 0 inside
-        walls = []
-        for i, c in enumerate(curves):
-            if i in support:
-                f0, f1 = n0[i], n1[i]
-            else:
-                f0, f1 = lat.pair(const, c), lat.pair(slope, c)
-            if f1 != 0:
-                walls.append((-f0 / f1, f1))
-            elif f0 < 0:
-                raise InvalidModel("chamber constraint violated identically")
-        return (c0, c1, c2), walls
-
-    def emit(lo, hi, out):
+    def walk(lo, hi):
         if not lo < hi:
             return
-        sample = (lo + hi) / 2
-        support = chamber_at(sample)
-        coeffs, walls = piece_for(support)
+        s = (lo + hi) / 2
+        nef, x = lattice_zariski(lat, tuple(a - s * h for a, h in zip(a_vec, h_vec)))
+        support = [i for i in sorted(x) if x[i] != 0]
+        dx = solve_linear([[lat.pair(curves[i], curves[j]) for j in support] for i in support],
+                          [-lat.pair(h_vec, curves[i]) for i in support])
+        slope = tuple(-y for y in h_vec)
+        for i, d in zip(support, dx):
+            slope = tuple(q - d * c for q, c in zip(slope, curves[i]))
+        const = tuple(p - s * q for p, q in zip(nef, slope))
+        walls = [(x[i] - s * d, d) for i, d in zip(support, dx)]
+        walls += [(lat.pair(const, c), lat.pair(slope, c))
+                  for i, c in enumerate(curves) if i not in support]
         left, right = lo, hi
-        for root, slope_sign in walls:
-            if root <= sample and slope_sign > 0:
-                left = max(left, root)
-            if root >= sample and slope_sign < 0:
-                right = min(right, root)
-        emit(lo, max(left, lo), out)
-        out.append((max(left, lo), min(right, hi), coeffs))
-        emit(min(right, hi), hi, out)
+        for f0, f1 in walls:  # the chamber keeps f0 + t*f1 >= 0
+            if f1 == 0 and f0 < 0:
+                raise InvalidModel("chamber constraint violated identically")
+            if f1 > 0 and -f0 / f1 <= s:
+                left = max(left, -f0 / f1)
+            if f1 < 0 and -f0 / f1 >= s:
+                right = min(right, -f0 / f1)
+        walk(lo, left)
+        piece = (lat.pair(const, const), 2 * lat.pair(const, slope), lat.pair(slope, slope))
+        if pieces and piece == pieces[-1]:
+            breakpoints[-1] = right  # merge identical neighbours
+        else:
+            breakpoints.append(right)
+            pieces.append(piece)
+        walk(right, hi)
 
-    segments: list = []
-    emit(Fraction(0), Fraction(reach), segments)
-    segments.sort(key=lambda s: s[0])
-    breakpoints = [Fraction(0)]
-    pieces = []
-    for lo, hi, coeffs in segments:
-        if pieces and coeffs == pieces[-1]:
-            breakpoints[-1] = hi  # merge identical neighbours
-            continue
-        if lo != breakpoints[-1]:
-            raise ConeError(f"volume function pieces leave a gap at {breakpoints[-1]}")
-        breakpoints.append(hi)
-        pieces.append(coeffs)
+    walk(Fraction(0), Fraction(reach))
     return breakpoints, pieces
 
 

@@ -291,16 +291,9 @@ def compare_cbrt_sum(x, y, z) -> int:
     x, y, z = Fraction(x), Fraction(y), Fraction(z)
     if min(x, y, z) < 0:
         raise ValueError("negative inputs")
-    if x == 0 and y == 0:
-        return 0 if z == 0 else -1
-    if z == 0:
-        return 1
-    if x == 0:
-        return (y > z) - (y < z)
-    if y == 0:
-        return (x > z) - (x < z)
-    # with all three positive, the sum vanishes iff (x+y-z)^3 == -27xyz
-    # (from u^3+v^3+w^3 = 3uvw <=> u+v+w = 0 when not all equal)
+    # the sum vanishes iff (x+y-z)^3 == -27xyz: for the real cube roots u, v,
+    # w of x, y, -z, u^3+v^3+w^3 = 3uvw iff u+v+w = 0 or u = v = w, and the
+    # latter forces u = v = w = 0 on non-negative inputs
     if (x + y - z) ** 3 == -27 * x * y * z:
         return 0
     scale = 10 ** 9

@@ -684,10 +684,7 @@ def lattice_difference_counts(inner: Polyhedron, outer: Polyhedron, scales):
     else:
         w, c = cap
         region = outer.intersect(_cap_halfspace(w, c - 1))  # c = best + 1
-    try:
-        box = _box_of(region)
-    except EmptyPolyhedron:
-        return [0] * len(scales)
+    box = _box_of(region)
     _fibre_count(*_lattice_box(box, scales[-1]))  # fail before counting any level
     return [
         count_lattice_points(_integer_constraints(outer, m),

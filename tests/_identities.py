@@ -6,7 +6,9 @@ two root-selection routines and the downstairs double-cover walk that
 `locvol.cone` used before covers and round lattice models shared one walk,
 and its separate curve and projective-space formulas from before they
 shared the rank-one route, the references the shared routes are checked
-against;
+against; the Zariski chamber walk that solved each chamber's Gram system
+twice and sorted its segments (`reference_chamber_walk`), the reference
+for the one-solve, in-order walk;
 Fourier-Motzkin elimination, the independent reference for the
 double-description slides of `locvol.toric.saturate_region`; the exact
 simplex, the independent reference for set equality and for the capping
@@ -28,9 +30,9 @@ from locvol.cone import (
 )
 from locvol.exactnum import QuadraticNumber, nth_root_bounds, solve_quadratic
 from locvol.geometry import Halfspace, Polyhedron
-from locvol.linalg import dot
+from locvol.linalg import dot, solve_linear
 from locvol.linprog import solve_lp
-from locvol.surface import DualGraph, InvalidModel
+from locvol.surface import DualGraph, InvalidModel, lattice_zariski
 from locvol.toric import INTERIOR, ToricDivisor
 
 
@@ -196,6 +198,90 @@ def reference_degree(model):
     if isinstance(model, AbelianCover):
         return F(2 * model.pol_sq)
     return model.lattice.pair(model.polarization, model.polarization)
+
+
+def _chamber_data(lat, a_vec, h_vec, support):
+    """Nef part as a pair (constant vector, t-coefficient vector) on the
+    chamber with the given negative support."""
+    curves = lat.negative_curves
+    n0 = {i: F(0) for i in support}
+    n1 = {i: F(0) for i in support}
+    if support:
+        idx = sorted(support)
+        gram = [[lat.pair(curves[i], curves[j]) for j in idx] for i in idx]
+        rhs0 = [lat.pair(a_vec, curves[i]) for i in idx]
+        rhs1 = [-lat.pair(h_vec, curves[i]) for i in idx]
+        for i, v in zip(idx, solve_linear(gram, rhs0)):
+            n0[i] = v
+        for i, v in zip(idx, solve_linear(gram, rhs1)):
+            n1[i] = v
+    const = list(a_vec)
+    slope = [-x for x in h_vec]
+    for i in support:
+        const = [c - n0[i] * x for c, x in zip(const, curves[i])]
+        slope = [s - n1[i] * x for s, x in zip(slope, curves[i])]
+    return tuple(const), tuple(slope), n0, n1
+
+
+def reference_chamber_walk(lat, a_vec, h_vec, reach):
+    """Breakpoints and quadratic pieces of vol(a - t*h) on [0, reach] by the
+    walk `locvol.cone` used before it read each chamber off one solve: two
+    solves per chamber, segments collected, sorted and checked for gaps."""
+    curves = lat.negative_curves
+
+    def chamber_at(t):
+        d = tuple(a - t * h for a, h in zip(a_vec, h_vec))
+        _, coeffs = lattice_zariski(lat, d)
+        return frozenset(i for i, v in coeffs.items() if v != 0)
+
+    def piece_for(support):
+        const, slope, n0, n1 = _chamber_data(lat, a_vec, h_vec, support)
+        c0 = lat.pair(const, const)
+        c1 = 2 * lat.pair(const, slope)
+        c2 = lat.pair(slope, slope)
+        # validity bounds: nef against outside curves, coefficients >= 0 inside
+        walls = []
+        for i, c in enumerate(curves):
+            if i in support:
+                f0, f1 = n0[i], n1[i]
+            else:
+                f0, f1 = lat.pair(const, c), lat.pair(slope, c)
+            if f1 != 0:
+                walls.append((-f0 / f1, f1))
+            elif f0 < 0:
+                raise InvalidModel("chamber constraint violated identically")
+        return (c0, c1, c2), walls
+
+    def emit(lo, hi, out):
+        if not lo < hi:
+            return
+        sample = (lo + hi) / 2
+        support = chamber_at(sample)
+        coeffs, walls = piece_for(support)
+        left, right = lo, hi
+        for root, slope_sign in walls:
+            if root <= sample and slope_sign > 0:
+                left = max(left, root)
+            if root >= sample and slope_sign < 0:
+                right = min(right, root)
+        emit(lo, max(left, lo), out)
+        out.append((max(left, lo), min(right, hi), coeffs))
+        emit(min(right, hi), hi, out)
+
+    segments: list = []
+    emit(F(0), F(reach), segments)
+    segments.sort(key=lambda s: s[0])
+    breakpoints = [F(0)]
+    pieces = []
+    for lo, hi, coeffs in segments:
+        if pieces and coeffs == pieces[-1]:
+            breakpoints[-1] = hi  # merge identical neighbours
+            continue
+        if lo != breakpoints[-1]:
+            raise ConeError(f"volume function pieces leave a gap at {breakpoints[-1]}")
+        breakpoints.append(hi)
+        pieces.append(coeffs)
+    return breakpoints, pieces
 
 
 def fm_project_out(p, coord):

@@ -146,6 +146,30 @@ def test_lambda_seq_of_a_high_genus_curve_is_fast(tmp_path, result_validator):
     assert record["sequences"]["rows"][0][1] == (g - 1) * (g - 2) // 2
 
 
+@pytest.mark.parametrize("dim, h", [(1001, 5), (5, 1000001)])
+def test_exit_2_on_a_projective_space_over_the_maxima(tmp_path, dim, h):
+    path = write_problem(tmp_path, {
+        "kind": "cone", "payload": {"model": {"type": "proj_space", "dim": dim, "h": h}},
+    })
+    code, out, _ = invoke("cone-gamma", path)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "validation"
+
+
+def test_the_largest_projective_space_ends_with_a_record(tmp_path, result_validator):
+    # the rank-one coefficients have about dim * log10(h) digits, largest here
+    path = write_problem(tmp_path, {
+        "kind": "cone",
+        "payload": {"model": {"type": "proj_space", "dim": 1000, "h": 1000000}},
+    })
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for sub in ("cone-volume", "cone-gamma", "bdff-volume", "lambda-seq"):
+        proc = subprocess.run([sys.executable, "-m", "locvol.cli", sub, path],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode in (0, 3), (sub, proc.stdout)
+        result_validator.validate(json.loads(proc.stdout))
+
+
 def test_surface_divisor_volume(tmp_path):
     path = write_problem(tmp_path, {
         "kind": "surface",

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,7 @@ from locvol.cone import (
     section_count_curve,
     volume_function,
     _simplify,
+    _zariski_chamber_walk,
 )
 from locvol.exactnum import QuadraticNumber
 from locvol.surface import SurfaceLattice, projective_volume
@@ -30,6 +32,7 @@ from locvol.surface import SurfaceLattice, projective_volume
 from _identities import (
     is_nonincreasing,
     psef_lp,
+    reference_chamber_walk,
     reference_degree,
     reference_threshold,
     reference_volume_function,
@@ -538,3 +541,48 @@ def test_psef_interval_matches_the_simplex():
             else:
                 assert series.pieces == ()
     assert set(statuses) == {"infeasible", "optimal", "unbounded"}, statuses
+
+
+# -- the one-solve chamber walk against the walk it replaced ------------------
+
+def _blown_up_plane(r):
+    """P^2 blown up at r general points on (L, E_1..E_r): the curves E_i,
+    L - E_i - E_j and, for r = 5, 2L - sum E_i, which also span its
+    pseudo-effective cone."""
+    def cls(line, *points):
+        return (line,) + tuple(-(i in points) for i in range(r))
+
+    curves = [tuple(int(j == i + 1) for j in range(r + 1)) for i in range(r)]
+    curves += [cls(1, i, j) for i, j in combinations(range(r), 2)]
+    if r == 5:
+        curves.append(cls(2, *range(r)))
+    gram = [[(1 if i == 0 else -1) * (i == j) for j in range(r + 1)] for i in range(r + 1)]
+    return SurfaceLattice(gram, (-3,) + (1,) * r, (3,) + (-1,) * r, curves, curves)
+
+
+def test_chamber_walk_as_before():
+    rng = random.Random(28)
+    walks = several = not_nef = 0
+    for r, quota in {2: 50, 3: 30, 4: 16, 5: 4}.items():  # the larger r walk slower
+        lat, done = _blown_up_plane(r), 0
+        while done < quota:
+            h = (rng.randint(1, 6),) + tuple(rng.randint(-3, 3) for _ in range(r))
+            k, hh = rng.choice([(1, 0), (1, 1), (F(rng.randint(-6, 3), rng.randint(1, 3)),
+                                                 F(rng.randint(0, 6), rng.randint(1, 3)))])
+            try:
+                h = LatticeModel(lat, lat.canonical, h).polarization
+            except LocvolError:
+                continue
+            a = tuple(k * x + hh * y for x, y in zip(lat.canonical, h))
+            if not lat.is_psef(a):
+                continue
+            reach = lat.psef_interval(a, tuple(-y for y in h))[1]
+            if not reach > 0:
+                continue
+            new = _zariski_chamber_walk(lat, a, h, reach)
+            assert repr(new) == repr(reference_chamber_walk(lat, a, h, reach))
+            done += 1
+            several += len(new[1]) > 1
+            not_nef += any(lat.pair(h, c) < 0 for c in lat.negative_curves)
+        walks += done
+    assert (walks, several >= 20, not_nef >= 20) == (100, True, True), (several, not_nef)

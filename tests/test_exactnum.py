@@ -95,6 +95,12 @@ def test_compare_cbrt_sum():
     assert compare_cbrt_sum(F(1, 8), F(79, 24), 8) == -1  # the non-convexity gap
     assert compare_cbrt_sum(0, 8, 8) == 0
     assert compare_cbrt_sum(2, 2, 16) == 0  # 2*2^(1/3) = 16^(1/3)
+    for u in range(5):  # perfect cubes, zeros included
+        for v in range(5):
+            for w in range(5):
+                assert compare_cbrt_sum(u ** 3, v ** 3, w ** 3) == (u + v > w) - (u + v < w)
+    assert (compare_cbrt_sum(0, 0, 2), compare_cbrt_sum(2, 0, 0),
+            compare_cbrt_sum(0, 2, 3)) == (-1, 1, -1)
 
 
 def test_format_decimal():

@@ -8,6 +8,10 @@ are the runs of the benchmark's cli_fixtures workload; the rest complete
 every fixture x subcommand pair, most of them refusals of a fixture whose
 kind the subcommand does not take.  A change meant to keep results keeps
 every record.
+
+`chamber_records.jsonl` pins the cone subcommands on P^2 blown up at three
+points (`BLOWN_UP_PLANE`), whose volume functions cross four Zariski
+chambers each; no fixture reaches a walk with more than one piece.
 """
 
 import io
@@ -22,6 +26,29 @@ HERE = Path(__file__).resolve().parent
 SCHEMAS = HERE.parent / "docs" / "schemas"
 RECORDS = [json.loads(line)
            for line in (HERE / "fixture_records.jsonl").read_text().splitlines()]
+CHAMBER_RECORDS = [json.loads(line)
+                   for line in (HERE / "chamber_records.jsonl").read_text().splitlines()]
+_CURVES = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+           [1, -1, -1, 0], [1, -1, 0, -1], [1, 0, -1, -1]]
+BLOWN_UP_PLANE = {
+    "type": "lattice",
+    "gram": [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+    "canonical": [-3, 1, 1, 1],
+    "k": [6, -2, -3, -1],
+    "ample": [3, -1, -1, -1],
+    "h": [4, 0, -1, 0],
+    "negative_curves": _CURVES,
+    "psef_generators": _CURVES,
+    "envelope_nef_certified": True,
+}
+
+
+def _run(sub, problem, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem, sort_keys=True))
+    out = io.StringIO()
+    code = run([sub, str(path)], stdout=out, stderr=io.StringIO())
+    return code, out.getvalue()
 
 
 def test_every_fixture_runs_under_every_subcommand():
@@ -36,8 +63,11 @@ def test_cli_record_is_pinned(tmp_path, record):
     problem = json.loads((SCHEMAS / record["fixture"]).read_text())
     if record["options"]:
         problem["options"] = dict(record["options"])
-    path = tmp_path / "problem.json"
-    path.write_text(json.dumps(problem, sort_keys=True))
-    out = io.StringIO()
-    code = run([record["sub"], str(path)], stdout=out, stderr=io.StringIO())
-    assert (code, out.getvalue()) == (record["exit"], record["stdout"])
+    assert _run(record["sub"], problem, tmp_path) == (record["exit"], record["stdout"])
+
+
+@pytest.mark.parametrize("record", CHAMBER_RECORDS,
+                         ids=[f"{r['sub']}-{r['kind']}" for r in CHAMBER_RECORDS])
+def test_multi_chamber_record_is_pinned(tmp_path, record):
+    problem = {"kind": record["kind"], "payload": {"model": BLOWN_UP_PLANE}}
+    assert _run(record["sub"], problem, tmp_path) == (record["exit"], record["stdout"])
