@@ -258,7 +258,7 @@ def _build_datum(payload):
 def _build_divisor(datum, coeffs):
     from .toric import ToricDivisor
 
-    return ToricDivisor(datum, tuple(_fraction(c) for c in coeffs))
+    return ToricDivisor(datum, [_fraction(c) for c in coeffs])
 
 
 @_builder
@@ -305,8 +305,8 @@ def _build_model(payload):
         k = model.get("k", model["canonical"])
         return LatticeModel(
             lattice,
-            tuple(_fraction(x) for x in k),
-            tuple(_fraction(x) for x in model["h"]),
+            [_fraction(x) for x in k],
+            [_fraction(x) for x in model["h"]],
             envelope_nef_certified=model.get("envelope_nef_certified", False),
         )
     raise ValidationFailure(f"unknown model type {kind!r}")
@@ -436,8 +436,7 @@ def _run_convexity_check(problem, opts):
     if datum.dim != 3:
         raise ValidationFailure("convexity certification is implemented for "
                                 "three-dimensional cones")
-    mid = ToricDivisor(datum, tuple((a + b) / 2
-                                    for a, b in zip(d_a.coeffs, d_b.coeffs)))
+    mid = ToricDivisor(datum, [(a + b) / 2 for a, b in zip(d_a.coeffs, d_b.coeffs)])
     va, vb, vm = (local_volume_toric(x) for x in (d_a, d_b, mid))
     # midpoint log-convexity: vol(mid)^(1/3) <= (va^(1/3) + vb^(1/3)) / 2
     holds = compare_cbrt_sum(va, vb, 8 * vm) >= 0

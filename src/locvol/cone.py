@@ -80,7 +80,7 @@ class PiecewisePoly:
                     raise ValueError("breakpoints must increase strictly")
         except FieldMismatch as exc:
             raise IrrationalBreakpointUnsupported(str(exc)) from exc
-        pieces = [tuple(Fraction(c) for c in p) for p in pieces]
+        pieces = [tuple([Fraction(c) for c in p]) for p in pieces]
         for i in range(len(pieces) - 1):
             if _poly_eval(pieces[i], bps[i + 1]) != _poly_eval(pieces[i + 1], bps[i + 1]):
                 raise ValueError(f"discontinuous at breakpoint {bps[i + 1]}")
@@ -172,8 +172,8 @@ class LatticeModel:
 
     def __init__(self, lattice: SurfaceLattice, canonical, polarization,
                  envelope_nef_certified: bool = False):
-        k = tuple(Fraction(x) for x in canonical)
-        h = tuple(Fraction(x) for x in polarization)
+        k = tuple([Fraction(x) for x in canonical])
+        h = tuple([Fraction(x) for x in polarization])
         if len(k) != lattice.rank or len(h) != lattice.rank:
             raise ValueError(f"k and h must have length {lattice.rank}, the gram rank")
         if lattice.pair(h, h) <= 0:
@@ -232,7 +232,7 @@ def volume_function(model, k_canonical=1, k_polarization=0) -> PiecewisePoly:
         return PiecewisePoly.zero()
     # vol((a - t*eta)*l) = (a - t*eta)^n, pseudo-effective until t = a/eta;
     # the powers of eta stay integers
-    coeffs = tuple(comb(n, j) * a ** (n - j) * (-eta) ** j for j in range(n + 1))
+    coeffs = tuple([comb(n, j) * a ** (n - j) * (-eta) ** j for j in range(n + 1)])
     return PiecewisePoly([Fraction(0), a / eta], [coeffs])
 
 
@@ -258,7 +258,7 @@ def _round_end(c0, c1, c2, l0, l1):
 
 def _surface_volume_function(model, k, h):
     pair, ample, canonical, h_vec = _surface_form(model)
-    a_vec = tuple(k * x + h * y for x, y in zip(canonical, h_vec))
+    a_vec = tuple([k * x + h * y for x, y in zip(canonical, h_vec)])
     if ample is not None:
         square = (pair(a_vec, a_vec), -2 * pair(a_vec, h_vec), pair(h_vec, h_vec))
         reach = _round_end(*square, pair(a_vec, ample), -pair(h_vec, ample))
@@ -268,7 +268,7 @@ def _surface_volume_function(model, k, h):
     lat = model.lattice
     if not lat.is_psef(a_vec):
         return PiecewisePoly.zero()
-    reach = lat.psef_interval(a_vec, tuple(-x for x in h_vec))[1]
+    reach = lat.psef_interval(a_vec, tuple([-x for x in h_vec]))[1]
     if reach is None:
         raise InvalidModel("polarization direction stays pseudo-effective forever")
     if reach <= 0:
@@ -294,14 +294,14 @@ def _zariski_chamber_walk(lat: SurfaceLattice, a_vec, h_vec, reach):
         if not lo < hi:
             return
         s = (lo + hi) / 2
-        nef, x = lattice_zariski(lat, tuple(a - s * h for a, h in zip(a_vec, h_vec)))
+        nef, x = lattice_zariski(lat, tuple([a - s * h for a, h in zip(a_vec, h_vec)]))
         support = [i for i in sorted(x) if x[i] != 0]
-        dx = solve_linear([[lat.pair(curves[i], curves[j]) for j in support] for i in support],
+        dx = solve_linear([[lat.curve_gram[i][j] for j in support] for i in support],
                           [-lat.pair(h_vec, curves[i]) for i in support])
-        slope = tuple(-y for y in h_vec)
+        slope = tuple([-y for y in h_vec])
         for i, d in zip(support, dx):
-            slope = tuple(q - d * c for q, c in zip(slope, curves[i]))
-        const = tuple(p - s * q for p, q in zip(nef, slope))
+            slope = tuple([q - d * c for q, c in zip(slope, curves[i])])
+        const = tuple([p - s * q for p, q in zip(nef, slope)])
         walls = [(x[i] - s * d, d) for i, d in zip(support, dx)]
         walls += [(lat.pair(const, c), lat.pair(slope, c))
                   for i, c in enumerate(curves) if i not in support]
@@ -349,7 +349,7 @@ def psef_threshold_anticanonical(model):
     if isinstance(model, (Curve, ProjSpace)):
         return Fraction(*_rank_one(model))
     pair, ample, canonical, h_vec = _surface_form(model)
-    mk = tuple(-x for x in canonical)
+    mk = tuple([-x for x in canonical])
     if ample is not None:
         return _round_end(pair(mk, mk), 2 * pair(mk, h_vec), pair(h_vec, h_vec),
                           pair(mk, ample), pair(h_vec, ample))

@@ -117,14 +117,14 @@ def cone_extreme_rays(rows, dim):
     prefix, _, _ = _bareiss([list(col) for col in zip(*rows)])
     rows = [rows[i] for i in prefix] + [r for i, r in enumerate(rows) if i not in prefix]
 
-    lin = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    lin = [tuple([1 if j == i else 0 for j in range(dim)]) for i in range(dim)]
     rays = []  # list of (vector, tight bitmask over processed rows)
 
     for k, a in enumerate(rows):
         lvals = [dot(a, l) for l in lin]
         j0 = next((j for j, v in enumerate(lvals) if v != 0), None)
         if j0 is not None:
-            l0 = lin[j0] if lvals[j0] > 0 else tuple(-x for x in lin[j0])
+            l0 = lin[j0] if lvals[j0] > 0 else tuple([-x for x in lin[j0]])
             v0 = abs(lvals[j0])
             new_lin = []
             for j, l in enumerate(lin):
@@ -198,7 +198,7 @@ class Halfspace:
         g = vec_gcd(ints)
         if g == 0:
             raise ValueError("zero normal in halfspace")
-        self.normal = tuple(v // g for v in ints)
+        self.normal = tuple([v // g for v in ints])
         self.offset = Fraction(offset) * d / g
 
     def holds(self, point) -> bool:
@@ -268,7 +268,7 @@ class Polyhedron:
         for r in rays:
             if r[-1] > 0:
                 t = Fraction(r[-1])
-                verts.append(tuple(Fraction(x) / t for x in r[:-1]))
+                verts.append(tuple([Fraction(x) / t for x in r[:-1]]))
             elif r[-1] == 0:
                 rec.append(primitive(r[:-1]))
         if not verts:
@@ -298,7 +298,7 @@ def facets_from_generators(dim, vertices, rays):
     for u in dlin:
         if any(u[:-1]):
             out.append(Halfspace(tuple(u[:-1]), Fraction(-u[-1])))
-            out.append(Halfspace(tuple(-x for x in u[:-1]), Fraction(u[-1])))
+            out.append(Halfspace(tuple([-x for x in u[:-1]]), Fraction(u[-1])))
     return out
 
 
@@ -372,12 +372,12 @@ def positive_functional(rec_rays, dim):
     no nonzero r is orthogonal to it and w is strictly positive.  A cone
     that is not pointed has no positive functional at all.
     """
-    w = tuple(sum(r[i] for r in rec_rays) for i in range(dim))
+    w = tuple([sum(r[i] for r in rec_rays) for i in range(dim)])
     if all(dot(w, r) > 0 for r in rec_rays):
         return w
     # skew recession cone: the sum of the dual's extreme rays is interior
     dual, _ = cone_extreme_rays(rec_rays, dim)
-    w = tuple(sum(u[i] for u in dual) for i in range(dim))
+    w = tuple([sum(u[i] for u in dual) for i in range(dim)])
     if not all(dot(w, r) > 0 for r in rec_rays):
         raise NotPointed("recession cone admits no positive functional")
     return w
@@ -425,7 +425,7 @@ def _difference_cap(inner: Polyhedron, outer: Polyhedron):
                 "difference region is unbounded (violated halfspace is not "
                 "strictly positive on the recession cone)"
             )
-        piece = outer.intersect(Halfspace(tuple(-x for x in h.normal), -h.offset))
+        piece = outer.intersect(Halfspace(tuple([-x for x in h.normal]), -h.offset))
         top = max(dot(w, v) for v in piece.vrep().vertices)
         best = top if best is None else max(best, top)
     if best is None:
@@ -434,7 +434,7 @@ def _difference_cap(inner: Polyhedron, outer: Polyhedron):
 
 
 def _cap_halfspace(w, c):
-    return Halfspace(tuple(-x for x in w), -Fraction(c))
+    return Halfspace(tuple([-x for x in w]), -Fraction(c))
 
 
 def volume_of_difference(inner: Polyhedron, outer: Polyhedron) -> Fraction:
@@ -582,7 +582,7 @@ def _slices(rows, lo, hi):
     for ai, bi in lower:
         for aj, bj in upper:
             qi, qj = ai[-1], -aj[-1]
-            flat.append((tuple(qj * u + qi * v for u, v in zip(ai, aj)), qj * bi + qi * bj))
+            flat.append((tuple([qj * u + qi * v for u, v in zip(ai, aj)]), qj * bi + qi * bj))
     flat = list(dict.fromkeys(flat))
     bounds = [a[k] for a, _ in flat]
     slopes = [(a[k], abs(a[-1])) for a, _ in upper + lower]
@@ -611,7 +611,7 @@ def _prefix_offsets(forms, lo, hi, k):
         yield (), [b for _, b in forms]
         return
     step = [a[k - 1] for a, _ in forms]
-    for head in product(*(range(lo[i], hi[i] + 1) for i in range(k - 1))):
+    for head in product(*[range(lo[i], hi[i] + 1) for i in range(k - 1)]):
         offsets = [b - dot(a, head) - c * lo[k - 1] for (a, b), c in zip(forms, step)]
         for v in range(lo[k - 1], hi[k - 1] + 1):
             yield head + (v,), offsets

@@ -4,6 +4,12 @@ Rank, determinant and linear solves share one fraction-free Gauss-Jordan
 elimination (Bareiss) on Python ints, after each row is scaled by the lcm of
 its denominators.  The module imports nothing from locvol, so the surface
 and cone layers use it without loading the polyhedral kernel.
+
+Every tuple in the package is built from a list or another sized sequence,
+never from a generator, `map` or `zip`: `tuple()` of an unsized iterator
+takes a 10-slot tuple and shrinks it, so its block is later freed onto
+another size's freelist, and over thousands of calls those freelists fill
+up and the process's peak memory climbs with its op count.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ def primitive(v):
     """Divide an integer vector by the gcd of its entries."""
     g = vec_gcd(v)
     if g == 0:
-        return tuple(0 for _ in v)
-    return tuple(int(x) // g for x in v)
+        return tuple([0 for _ in v])
+    return tuple([int(x) // g for x in v])
 
 
 def dot(u, v):

@@ -150,7 +150,7 @@ def solve_lp(objective, rows, sense: str = "max") -> LPResult:
     for i, b in enumerate(basis):
         if b < 2 * n:
             x[b] = tab[i][-1]
-    point = tuple(x[j] - x[n + j] for j in range(n))
+    point = tuple([x[j] - x[n + j] for j in range(n)])
     value = sum(cj * pj for cj, pj in zip(c, point))
     if sense == "min":
         value = -value

@@ -51,7 +51,7 @@ class MonomialIdeal:
     """
 
     def __init__(self, generators, ambient: PointedCone | None = None):
-        gens = [tuple(int(x) for x in g) for g in generators]
+        gens = [tuple([int(x) for x in g]) for g in generators]
         if not gens:
             raise ValueError("need at least one generator")
         dim = len(gens[0])
@@ -62,7 +62,7 @@ class MonomialIdeal:
         if ambient is None:
             if any(x < 0 for g in gens for x in g):
                 raise ValueError("orthant-ambient exponents must be non-negative")
-            units = tuple(tuple(int(j == i) for j in range(dim)) for i in range(dim))
+            units = tuple([tuple([int(j == i) for j in range(dim)]) for i in range(dim)])
             self.rays = self.facets = units
         else:
             if ambient.dim != dim:
@@ -103,7 +103,7 @@ def power(ideal: MonomialIdeal, p: int) -> MonomialIdeal:
     if raw_count > GENERATOR_LIMIT:
         raise GeneratorBlowup(f"{raw_count} candidate generators at power {p}")
     sums = {
-        tuple(sum(col) for col in zip(*combo))
+        tuple([sum(col) for col in zip(*combo)])
         for combo in combinations_with_replacement(ideal.generators, p)
     }
     return MonomialIdeal(sums, ideal.ambient)
@@ -126,11 +126,11 @@ def _orthant_transform(ideal: MonomialIdeal):
         coords = solve_linear(basis, list(u))
         if any(x.denominator != 1 for x in coords):
             raise MonomialError(f"exponent {u} has non-integral ray coordinates")
-        return tuple(int(x) for x in coords)
+        return tuple([int(x) for x in coords])
 
     def from_orthant(u):
-        return tuple(sum(rays[j][i] * u[j] for j in range(cone.dim))
-                     for i in range(cone.dim))
+        return tuple([sum(rays[j][i] * u[j] for j in range(cone.dim))
+                      for i in range(cone.dim)])
 
     moved = MonomialIdeal([to_orthant(g) for g in ideal.generators])
     return moved, from_orthant
@@ -151,7 +151,7 @@ def saturation(ideal: MonomialIdeal) -> MonomialIdeal:
                 for i in range(ideal.dim)]
     sat = partials[0]
     for part in partials[1:]:
-        sat = MonomialIdeal([tuple(map(max, g, h))
+        sat = MonomialIdeal([[max(a, b) for a, b in zip(g, h)]
                              for g in sat.generators for h in part.generators])
     return sat
 

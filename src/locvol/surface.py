@@ -95,7 +95,7 @@ def symmetric_inertia(m):
 
 
 def _mat_vec(m, v):
-    return tuple(sum(Fraction(a) * Fraction(x) for a, x in zip(row, v)) for row in m)
+    return tuple([sum(Fraction(a) * Fraction(x) for a, x in zip(row, v)) for row in m])
 
 
 def _bilinear(u, m, v):
@@ -131,7 +131,7 @@ class DualGraph:
         if not ldl_pivots_negative(m):
             raise NotNegativeDefinite("intersection matrix is not negative definite")
         self.vertices, self.edges = tuple(verts), tuple(parsed)
-        self.matrix = tuple(tuple(row) for row in m)
+        self.matrix = tuple([tuple(row) for row in m])
 
     @property
     def rank(self) -> int:
@@ -145,9 +145,9 @@ def log_canonical_intersections(graph: DualGraph):
     for i, j, mult in graph.edges:
         deg[i] += mult
         deg[j] += mult
-    return tuple(
+    return tuple([
         Fraction(2 * g - 2 + deg[i]) for i, (_, g) in enumerate(graph.vertices)
-    )
+    ])
 
 
 ZariskiParts = namedtuple("ZariskiParts", "nef negative")
@@ -169,8 +169,8 @@ def _support_iteration(gram, target):
         if support:
             sub = [[gram[i][j] for j in support] for i in support]
             coeffs = dict(zip(support, solve_linear(sub, [target[i] for i in support])))
-        pairing = tuple(t - sum(v * gram[i][k] for i, v in coeffs.items())
-                        for k, t in enumerate(target))
+        pairing = tuple([t - sum(v * gram[i][k] for i, v in coeffs.items())
+                         for k, t in enumerate(target)])
         violations = [k for k, v in enumerate(pairing) if v < 0]
         if not violations:
             return coeffs, pairing
@@ -181,13 +181,13 @@ def _support_iteration(gram, target):
 def zariski_decompose(graph: DualGraph, target) -> ZariskiParts:
     """Relative Zariski decomposition of the class with the given intersection
     numbers; rejects classes whose effective part comes out negative."""
-    target = tuple(Fraction(x) for x in target)
+    target = tuple([Fraction(x) for x in target])
     if len(target) != graph.rank:
         raise ValueError("intersection vector length mismatch")
     coeffs, pairing = _support_iteration(graph.matrix, target)
-    negative = tuple(coeffs.get(i, Fraction(0)) for i in range(graph.rank))
+    negative = tuple([coeffs.get(i, Fraction(0)) for i in range(graph.rank)])
     whole = solve_linear([list(r) for r in graph.matrix], list(target))  # the class itself
-    parts = ZariskiParts(tuple(a - b for a, b in zip(whole, negative)), negative)
+    parts = ZariskiParts(tuple([a - b for a, b in zip(whole, negative)]), negative)
     if any(v < 0 for v in parts.negative):
         raise NegativeCoefficient(f"effective part {parts.negative} is invalid")
     if any(v < 0 for v in pairing):
@@ -225,7 +225,7 @@ class SurfaceLattice:
 
     def __init__(self, gram, canonical, ample, negative_curves=(),
                  psef_generators=()):
-        gram = tuple(tuple(int(x) for x in row) for row in gram)
+        gram = tuple([tuple([int(x) for x in row]) for row in gram])
         n = len(gram)
         if any(len(row) != n for row in gram) or any(
             gram[i][j] != gram[j][i] for i in range(n) for j in range(n)
@@ -235,18 +235,23 @@ class SurfaceLattice:
             raise InvalidLattice("gram matrix must have signature (1, rank-1)")
         self.rank = n
         self.gram = gram
-        self.canonical = tuple(int(x) for x in canonical)
-        self.ample = tuple(int(x) for x in ample)
-        self.negative_curves = tuple(tuple(int(x) for x in c) for c in negative_curves)
-        self.psef_generators = tuple(tuple(Fraction(x) for x in g)
-                                     for g in psef_generators)
+        self.canonical = tuple([int(x) for x in canonical])
+        self.ample = tuple([int(x) for x in ample])
+        self.negative_curves = tuple([tuple([int(x) for x in c]) for c in negative_curves])
+        self.psef_generators = tuple([tuple([Fraction(x) for x in g])
+                                      for g in psef_generators])
         if any(len(v) != n for v in (self.canonical, self.ample,
                                      *self.negative_curves, *self.psef_generators)):
             raise ValueError(f"lattice vectors must have length {n}, the gram rank")
         if _bilinear(self.ample, gram, self.ample) <= 0:
             raise InvalidLattice("ample class must have positive self-intersection")
-        for c in self.negative_curves:
-            if _bilinear(c, gram, c) >= 0:
+        curves = self.negative_curves
+        # the curves' Gram matrix, on ints: every Zariski decomposition solves on it
+        images = [[dot(row, e) for row in gram] for e in curves]
+        self.curve_gram = tuple([tuple([Fraction(dot(c, g)) for g in images])
+                                 for c in curves])
+        for i, c in enumerate(curves):
+            if self.curve_gram[i][i] >= 0:
                 raise InvalidLattice(f"declared curve {c} is not negative")
             if _bilinear(self.ample, gram, c) <= 0:
                 raise InvalidLattice(f"declared curve {c} meets the ample class badly")
@@ -260,7 +265,7 @@ class SurfaceLattice:
         return not self.psef_generators
 
     def is_psef(self, d) -> bool:
-        d = tuple(Fraction(x) for x in d)
+        d = tuple([Fraction(x) for x in d])
         if self.is_round_model:
             return self.pair(d, d) >= 0 and self.pair(d, self.ample) >= 0
         return self.psef_interval(d, (0,) * self.rank) is not None
@@ -322,25 +327,24 @@ def lattice_zariski(lattice: SurfaceLattice, d):
 
     Returns (nef part as a vector, dict curve index -> coefficient).
     """
-    d = tuple(Fraction(x) for x in d)
+    d = tuple([Fraction(x) for x in d])
     curves = lattice.negative_curves
-    gram = [[lattice.pair(c, e) for e in curves] for c in curves]
     try:
-        coeffs, _ = _support_iteration(gram, [lattice.pair(d, c) for c in curves])
+        coeffs, _ = _support_iteration(lattice.curve_gram, [lattice.pair(d, c) for c in curves])
     except ValueError:
         raise InvalidModel("declared negative curves do not span a definite support")
     if any(v < 0 for v in coeffs.values()):
         raise NegativeCoefficient(f"negative part {coeffs} of a pseudo-effective class")
     nef = d
     for i, v in coeffs.items():
-        nef = tuple(a - v * c for a, c in zip(nef, curves[i]))
+        nef = tuple([a - v * c for a, c in zip(nef, curves[i])])
     return nef, coeffs
 
 
 def projective_volume(lattice: SurfaceLattice, d) -> Fraction:
     """Volume of a divisor class: zero off the pseudo-effective cone, else
     the self-intersection of the nef part of its Zariski decomposition."""
-    d = tuple(Fraction(x) for x in d)
+    d = tuple([Fraction(x) for x in d])
     if not lattice.is_psef(d):
         return Fraction(0)
     if lattice.is_round_model:

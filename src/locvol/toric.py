@@ -53,7 +53,7 @@ class PointedCone:
     """Full-dimensional pointed rational cone, given by generating rays."""
 
     def __init__(self, generators):
-        gens = [primitive(tuple(int(x) for x in g)) for g in generators]
+        gens = [primitive([int(x) for x in g]) for g in generators]
         if not gens or any(not any(g) for g in gens):
             raise ValueError("cone needs nonzero generators")
         dim = len(gens[0])
@@ -90,7 +90,7 @@ class ToricDatum:
     """A pointed cone together with all rays of a refining fan."""
 
     def __init__(self, cone: PointedCone, refinement_rays):
-        rays = tuple(primitive(tuple(int(x) for x in r)) for r in refinement_rays)
+        rays = tuple([primitive([int(x) for x in r]) for r in refinement_rays])
         if any(len(r) != cone.dim for r in rays):
             raise ValueError(f"refinement rays must have length {cone.dim}")
         if any(not any(r) for r in rays):
@@ -98,7 +98,7 @@ class ToricDatum:
         if len(set(rays)) != len(rays):
             raise ValueError("refinement rays must be distinct after making "
                              "them primitive")
-        kinds = tuple(cone.classify(r) for r in rays)
+        kinds = tuple([cone.classify(r) for r in rays])
         missing = set(cone.extreme_rays) - set(rays)
         if missing:
             raise ValueError(f"refinement must list every extreme ray; missing {missing}")
@@ -117,7 +117,7 @@ class ToricDivisor:
     __slots__ = ("datum", "coeffs")
 
     def __init__(self, datum: ToricDatum, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple([Fraction(c) for c in coeffs])
         if len(coeffs) != len(datum.rays):
             raise ValueError("coefficient count must match ray count")
         self.datum = datum
@@ -156,7 +156,7 @@ def h1_sequence(d: ToricDivisor, m_max: int):
     """
     sections, punctured = divisor_polyhedra(d)
     n = d.datum.dim
-    step = lcm(*(a.denominator for a in d.coeffs))
+    step = lcm(*[a.denominator for a in d.coeffs])
     scales = range(step, m_max + 1, step)
     counts = lattice_difference_counts(sections, punctured, scales)
     return [(m, c, Fraction(factorial(n) * c, m ** n)) for m, c in zip(scales, counts)]
@@ -188,7 +188,7 @@ def _minimal_generators(points, facets):
     cone, so in order of (sum, point) each point comes after every point
     it dominates, and one pass suffices.
     """
-    coords = {u: tuple(dot(f, u) for f in facets) for u in points}
+    coords = {u: tuple([dot(f, u) for f in facets]) for u in points}
     gens, kept = [], []
     for u in sorted(coords, key=lambda u: (sum(coords[u]), u)):
         c = coords[u]
@@ -214,7 +214,7 @@ def stable_newton_region(region: Polyhedron, cone: PointedCone) -> Polyhedron:
     w = positive_functional(dual_rays, cone.dim)
     top = max(dot(w, v) for v in region.vrep().vertices).__ceil__()
     cap = top + sum(dot(w, y) for y in dual_rays)
-    capped = region.intersect(Halfspace(tuple(-x for x in w), Fraction(-cap)))
+    capped = region.intersect(Halfspace(tuple([-x for x in w]), Fraction(-cap)))
     gens = _minimal_generators(lattice_points(capped), cone.generators)
     return hull_polyhedron(cone.dim, gens, dual_rays)
 
@@ -231,7 +231,7 @@ def saturate_region(region: Polyhedron, rays, walls) -> Polyhedron:
     vr = region.vrep()
     rows = [h for r in rays
             for h in facets_from_generators(region.dim, vr.vertices,
-                                            vr.rays + (tuple(-x for x in r),))]
+                                            vr.rays + (tuple([-x for x in r]),))]
     rows += [Halfspace(f, Fraction(0)) for f in walls]
     return Polyhedron(region.dim, rows)
 

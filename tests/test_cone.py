@@ -560,6 +560,14 @@ def _blown_up_plane(r):
     return SurfaceLattice(gram, (-3,) + (1,) * r, (3,) + (-1,) * r, curves, curves)
 
 
+def test_curve_gram_is_the_curves_pairings():
+    for r in range(2, 6):
+        lat = _blown_up_plane(r)
+        curves = lat.negative_curves
+        assert lat.curve_gram == tuple([tuple([lat.pair(c, e) for e in curves])
+                                        for c in curves])
+
+
 def test_chamber_walk_as_before():
     rng = random.Random(28)
     walks = several = not_nef = 0

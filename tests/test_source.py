@@ -43,6 +43,27 @@ def test_numpy_is_not_imported_at_module_level():
     assert not found, found
 
 
+def _built_from_iterator(node):
+    return isinstance(node, ast.GeneratorExp) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in {"map", "zip", "filter"})
+
+
+def test_no_tuples_built_from_iterators():
+    # a tuple is built at its exact size, or freed tuples pile up on the
+    # allocator's per-size freelists call after call (linalg's docstring)
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "tuple" and len(node.args) == 1
+            and _built_from_iterator(node.args[0]))
+        or (isinstance(node, ast.Starred) and _built_from_iterator(node.value))
+    ]
+    assert not found, found
+
+
 def _locvol_imports(nodes):
     """The locvol modules a package module's nodes import."""
     found = set()

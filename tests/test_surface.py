@@ -1,3 +1,5 @@
+import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -274,3 +276,21 @@ def test_zariski_guard_raises_surface_error(monkeypatch):
     monkeypatch.setattr(surface, "_support_iteration", bad_iteration)
     with pytest.raises(surface.SurfaceError):
         surface.zariski_decompose(surface.DualGraph([(-2, 0)]), (F(1),))
+
+
+def test_volumes_leave_no_blocks_behind():
+    # a steady run of dual-graph volumes must not park freed blocks on the
+    # allocator's freelists; no gc.collect() here, as a full collection
+    # empties them and would hide the drift
+    rng = random.Random(29)
+    graphs = []
+    for _ in range(200):
+        n = rng.randint(6, 12)
+        verts = [(-rng.randint(2, 5), rng.randint(0, 1)) for _ in range(n)]
+        graphs.append(DualGraph(verts, [(i, i + 1, 1) for i in range(n - 1)]))
+    for graph in graphs[:20]:
+        singularity_volume(graph)
+    before = sys.getallocatedblocks()
+    for k in range(1000):
+        singularity_volume(graphs[k % len(graphs)])
+    assert sys.getallocatedblocks() - before < 500
