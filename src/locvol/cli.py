@@ -192,13 +192,11 @@ def _fraction(value) -> Fraction:
 
 
 def _render_exact(value):
-    if isinstance(value, QuadraticNumber) and not value.is_rational:
+    """A rational, or a quadratic irrational as cone invariants return it."""
+    if isinstance(value, QuadraticNumber):
         return {"quadratic": {"a": _frac_str(value.a), "b": _frac_str(value.b),
                               "c": value.c}}
-    if isinstance(value, QuadraticNumber):
-        value = value.as_fraction()
-    value = Fraction(value)
-    return {"rational": _frac_str(value)}
+    return {"rational": _frac_str(Fraction(value))}
 
 
 def _frac_str(x: Fraction) -> str:
@@ -206,12 +204,8 @@ def _frac_str(x: Fraction) -> str:
 
 
 def _cell(value):
-    """Sequence-table cell: integers stay integers, rationals become p/q."""
-    if isinstance(value, int):
-        return value
+    """Sequence-table cell: p/q, or a+b*sqrt(c) for a quadratic irrational."""
     if isinstance(value, QuadraticNumber):
-        if value.is_rational:
-            return _frac_str(value.as_fraction())
         return f"{_frac_str(value.a)}+{_frac_str(value.b)}*sqrt({value.c})"
     return _frac_str(Fraction(value))
 

@@ -11,9 +11,10 @@ singularity dimension times the polarization degree.  Curves and projective
 spaces have Picard rank one, so K and H are integer multiples of one class l
 with l^n = 1 and vol(x*l) = x^n (`_rank_one`).  Covers and round lattice
 models walk a round pseudo-effective cone to one quadratic piece; lattices
-with a polyhedral cone walk their Zariski chambers in order, one
-decomposition and one solve per chamber (`_zariski_chamber_walk`).  All
-integration is symbolic; nothing is numeric.
+with a polyhedral cone read one Zariski chamber per t-interval of a
+worklist, one decomposition and one solve per chamber, and sort the
+chambers into pieces (`_zariski_chamber_walk`).  All integration is
+symbolic; nothing is numeric.
 """
 
 from __future__ import annotations
@@ -280,19 +281,19 @@ def _surface_volume_function(model, k, h):
 def _zariski_chamber_walk(lat: SurfaceLattice, a_vec, h_vec, reach):
     """Breakpoints and quadratic pieces of vol(a - t*h) on [0, reach], in order.
 
-    On a Zariski chamber the negative part is affine in t, so walk(lo, hi)
-    reads the chamber at the middle s off one decomposition (the support S
-    and coefficients x(s)) and one solve on S's Gram matrix (their slope
-    dx).  The piece ends at the walls where a coefficient in S or the nef
-    part's pairing with a curve outside S turns negative; what lies beyond
-    them is walked before and after it.
+    On a Zariski chamber the negative part is affine in t, so each interval
+    (lo, hi) left to walk reads the chamber at its middle s off one
+    decomposition (the support S and coefficients x(s)) and one solve on S's
+    Gram matrix (their slope dx).  The piece ends at the walls where a
+    coefficient in S or the nef part's pairing with a curve outside S turns
+    negative; what lies beyond them on either side is left to walk.
     """
     curves = lat.negative_curves
-    breakpoints, pieces = [Fraction(0)], []
-
-    def walk(lo, hi):
+    todo, chambers = [(Fraction(0), Fraction(reach))], []
+    while todo:
+        lo, hi = todo.pop()
         if not lo < hi:
-            return
+            continue
         s = (lo + hi) / 2
         nef, x = lattice_zariski(lat, tuple([a - s * h for a, h in zip(a_vec, h_vec)]))
         support = [i for i in sorted(x) if x[i] != 0]
@@ -313,17 +314,11 @@ def _zariski_chamber_walk(lat: SurfaceLattice, a_vec, h_vec, reach):
                 left = max(left, -f0 / f1)
             if f1 < 0 and -f0 / f1 >= s:
                 right = min(right, -f0 / f1)
-        walk(lo, left)
         piece = (lat.pair(const, const), 2 * lat.pair(const, slope), lat.pair(slope, slope))
-        if pieces and piece == pieces[-1]:
-            breakpoints[-1] = right  # merge identical neighbours
-        else:
-            breakpoints.append(right)
-            pieces.append(piece)
-        walk(right, hi)
-
-    walk(Fraction(0), Fraction(reach))
-    return breakpoints, pieces
+        chambers.append((left, right, piece))
+        todo += [(lo, left), (right, hi)]
+    chambers.sort(key=lambda ch: ch[0])
+    return [Fraction(0)] + [ch[1] for ch in chambers], [ch[2] for ch in chambers]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,14 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 from math import isqrt
 
+from . import LocvolError
+
+TRIAL_LIMIT = 10 ** 5  # largest trial divisor of a fresh square-free split
+
+
+class RadicandBudget(LocvolError):
+    """A radicand's square-free part needs trial division past TRIAL_LIMIT."""
+
 
 class FieldMismatch(ArithmeticError):
     """Raised when mixing quadratic numbers over different square-free radicands."""
@@ -39,14 +47,20 @@ def iroot(n: int, k: int) -> int:
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Write n >= 0 as s*s*f with f square-free; returns (s, f)."""
+    """Write n >= 0 as s*s*f with f square-free; returns (s, f).
+
+    Trial division stops at D = TRIAL_LIMIT.  The cofactor m left then has
+    no prime factor <= D, so below D^3 it is a prime, a prime square or a
+    product of two distinct primes, and isqrt tells them apart; past D^3
+    the split raises RadicandBudget.
+    """
     if n < 0:
         raise ValueError("negative radicand")
     if n in (0, 1):
         return (1, n)
     s, f, d = 1, 1, 2
     m = n
-    while d * d <= m:
+    while d * d <= m and d <= TRIAL_LIMIT:
         if m % d == 0:
             e = 0
             while m % d == 0:
@@ -56,6 +70,13 @@ def squarefree_split(n: int) -> tuple[int, int]:
             if e % 2:
                 f *= d
         d += 1 if d == 2 else 2
+    if d * d <= m:  # stopped at the bound
+        if m >= TRIAL_LIMIT ** 3:
+            raise RadicandBudget(f"the square-free part of {n} needs trial "
+                                 f"division past {TRIAL_LIMIT}")
+        r = isqrt(m)
+        if r * r == m:
+            return (s * r, f)
     return (s, f * m)
 
 
@@ -88,6 +109,14 @@ class QuadraticNumber:
         self.a, self.b, self.c = a, b, c
 
     # -- helpers ---------------------------------------------------------
+
+    @classmethod
+    def _of(cls, a, b, c):
+        """a + b*sqrt(c) for Fractions a, b over the operands' square-free c,
+        which arithmetic keeps instead of splitting it again."""
+        out = object.__new__(cls)
+        out.a, out.b, out.c = (a, b, c) if b else (a, Fraction(0), 0)
+        return out
 
     @staticmethod
     def _coerce(x):
@@ -136,12 +165,12 @@ class QuadraticNumber:
         if o is NotImplemented:
             return o
         c = self._join(o)
-        return QuadraticNumber(self.a + o.a, self.b + o.b, c)
+        return self._of(self.a + o.a, self.b + o.b, c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.c)
+        return self._of(-self.a, -self.b, self.c)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -160,9 +189,7 @@ class QuadraticNumber:
         if o is NotImplemented:
             return o
         c = self._join(o)
-        return QuadraticNumber(
-            self.a * o.a + self.b * o.b * c, self.a * o.b + self.b * o.a, c
-        )
+        return self._of(self.a * o.a + self.b * o.b * c, self.a * o.b + self.b * o.a, c)
 
     __rmul__ = __mul__
 
@@ -176,7 +203,7 @@ class QuadraticNumber:
             if o.a == 0 and o.b == 0:
                 raise ZeroDivisionError("division by zero")
             raise ZeroDivisionError("division by zero norm element")
-        inv = QuadraticNumber(o.a / norm, -o.b / norm, c)
+        inv = self._of(o.a / norm, -o.b / norm, c)
         return self * inv
 
     def __rtruediv__(self, other):
@@ -188,7 +215,7 @@ class QuadraticNumber:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only non-negative integer powers")
-        out = QuadraticNumber(Fraction(1), Fraction(0), 0)
+        out = self._of(Fraction(1), Fraction(0), 0)
         base = self
         while k:
             if k & 1:
@@ -326,7 +353,5 @@ def format_decimal(value, digits: int = 12) -> str:
             return s_lo
     r = Fraction(value)
     ctx = getcontext().copy()
-    ctx.prec = digits + 25
-    d = ctx.divide(Decimal(r.numerator), Decimal(r.denominator))
     ctx.prec = digits
-    return str(ctx.plus(d))
+    return str(ctx.divide(Decimal(r.numerator), Decimal(r.denominator)))

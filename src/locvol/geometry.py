@@ -284,22 +284,12 @@ class Polyhedron:
 # ---------------------------------------------------------------------------
 
 def facets_from_generators(dim, vertices, rays):
-    """H-representation of conv(vertices) + cone(rays), as Halfspace list.
-
-    Lower-dimensional hulls yield pairs of opposite halfspaces for the
-    affine span's equations.
-    """
+    """Facet halfspaces of conv(vertices) + cone(rays), a full-dimensional hull."""
     ineqs = [list(v) + [1] for v in vertices] + [list(r) + [0] for r in rays]
     drays, dlin = cone_extreme_rays(ineqs, dim + 1)
-    out = []
-    for u in drays:
-        if any(u[:-1]):
-            out.append(Halfspace(tuple(u[:-1]), Fraction(-u[-1])))
-    for u in dlin:
-        if any(u[:-1]):
-            out.append(Halfspace(tuple(u[:-1]), Fraction(-u[-1])))
-            out.append(Halfspace(tuple([-x for x in u[:-1]]), Fraction(u[-1])))
-    return out
+    if any(any(u[:-1]) for u in dlin):
+        raise GeometryError("hull is not full-dimensional")
+    return [Halfspace(tuple(u[:-1]), Fraction(-u[-1])) for u in drays if any(u[:-1])]
 
 
 def hull_polyhedron(dim, vertices, rays) -> Polyhedron:

@@ -122,11 +122,8 @@ def _orthant_transform(ideal: MonomialIdeal):
         )
     basis = [list(r) for r in zip(*rays)]  # columns are the rays
 
-    def to_orthant(u):
-        coords = solve_linear(basis, list(u))
-        if any(x.denominator != 1 for x in coords):
-            raise MonomialError(f"exponent {u} has non-integral ray coordinates")
-        return tuple([int(x) for x in coords])
+    def to_orthant(u):  # integral by Cramer's rule: det(basis) = +-1
+        return tuple([int(x) for x in solve_linear(basis, list(u))])
 
     def from_orthant(u):
         return tuple([sum(rays[j][i] * u[j] for j in range(cone.dim))

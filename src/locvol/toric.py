@@ -207,15 +207,20 @@ def stable_newton_region(region: Polyhedron, cone: PointedCone) -> Polyhedron:
     Programming*, §16.2) the integer hull is conv((Q + Π) ∩ Z^n) + cone(y),
     where Π = {Σ μ_i y_i : 0 <= μ_i <= 1}.  A functional w positive on every
     y_i is at most max_v w(v) + Σ_i w(y_i) on Q + Π, so the lattice points of
-    the region below that cap, less those that dominate another modulo σ^∨,
-    together with the dual rays generate the hull exactly.
+    the region below that cap, with the dual rays, generate the hull exactly.
+    A capped point u with u - y_i capped for some i lies in that point's
+    translate of σ^∨, so dropping it keeps the hull: one set lookup per dual
+    ray, and every minimal point stays.
     """
     dual_rays = list(cone.facets)
     w = positive_functional(dual_rays, cone.dim)
     top = max(dot(w, v) for v in region.vrep().vertices).__ceil__()
     cap = top + sum(dot(w, y) for y in dual_rays)
     capped = region.intersect(Halfspace(tuple([-x for x in w]), Fraction(-cap)))
-    gens = _minimal_generators(lattice_points(capped), cone.generators)
+    points = lattice_points(capped)
+    seen = set(points)
+    gens = [u for u in points
+            if not any(tuple([a - b for a, b in zip(u, y)]) in seen for y in dual_rays)]
     return hull_polyhedron(cone.dim, gens, dual_rays)
 
 

@@ -107,9 +107,11 @@ def test_csv_sequence_output():
 
 
 def test_csv_scalar_output():
-    code, out, _ = invoke("toric-volume", fixture("tnc.json"), "--output", "csv")
-    assert code == 0
-    assert out.splitlines() == ["value", "79/24"]
+    for sub, name, value in (("toric-volume", "tnc.json", "79/24"),
+                             ("cone-volume", "abelian_cover.json", "-9/1+5/1*sqrt(5)")):
+        code, out, _ = invoke(sub, fixture(name), "--output", "csv")
+        assert code == 0
+        assert out.splitlines() == ["value", value]
 
 
 def test_lambda_seq(tmp_path, result_validator):
@@ -461,6 +463,24 @@ def test_huge_lattice_scan_ends_with_a_record(tmp_path, result_validator):
             assert record["sequences"]["rows"][0][:2] == [1, 2000001000000]
         else:
             assert record["error"]["name"] == "LatticeBudget"
+
+
+def test_huge_radicand_ends_with_a_record(tmp_path, result_validator):
+    # its threshold's radicand, about 10^37, leaves a cofactor past 10^15
+    # once its factors below 10^5 are divided out
+    path = write_problem(tmp_path, {
+        "kind": "cone",
+        "payload": {"model": {"type": "abelian_cover", "base_sq": 1,
+                              "mixed": 1000000000000000003, "pol_sq": 1}},
+    })
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "locvol.cli", "cone-volume", path],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 3, proc.stdout
+    assert "Traceback" not in proc.stderr
+    record = json.loads(proc.stdout)
+    result_validator.validate(record)
+    assert record["error"]["name"] == "RadicandBudget"
 
 
 def test_huge_monomial_prefix_grid_ends_with_a_record(tmp_path, result_validator):

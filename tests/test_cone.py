@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 from itertools import combinations
@@ -392,6 +393,13 @@ def test_covers_walk_as_before():
                 degenerate += mixed ** 2 == base_sq * pol_sq
                 _check_against_reference(AbelianCover(base_sq, mixed, pol_sq))
     assert degenerate == 12
+    # the radicand (10^12 + 38)(10^12 + 40)/16 has two prime factors past the
+    # trial-division bound, so its split reads them apart with isqrt
+    wide = AbelianCover(1, 10 ** 12 + 39, 1)
+    _check_against_reference(wide)
+    assert cone_singularity_volume(wide) == quad(-4000000000468000000018246000000237042,
+                                                 16000000001248000000024320,
+                                                 62500000004875000000095)
 
 
 # k and h each over 21 rationals, 0 and 1 among them
@@ -594,3 +602,16 @@ def test_chamber_walk_as_before():
             not_nef += any(lat.pair(h, c) < 0 for c in lat.negative_curves)
         walks += done
     assert (walks, several >= 20, not_nef >= 20) == (100, True, True), (several, not_nef)
+
+
+def test_chamber_walk_leaves_no_cycles():
+    model = LatticeModel(_blown_up_plane(3), (6, -2, -3, -1), (4, 0, -1, 0))
+    assert len(volume_function(model, 1, 0).pieces) == 4
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            assert cone_singularity_volume(model) == F(591, 28)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

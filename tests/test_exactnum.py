@@ -2,9 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from locvol import exactnum
 from locvol.exactnum import (
+    TRIAL_LIMIT,
     FieldMismatch,
     QuadraticNumber,
+    RadicandBudget,
     compare_cbrt_sum,
     format_decimal,
     iroot,
@@ -32,6 +35,26 @@ def test_squarefree_split():
     assert squarefree_split(1) == (1, 1)
     assert squarefree_split(49) == (7, 1)
     assert squarefree_split(360) == (6, 10)
+    # past the trial-division bound D, a cofactor below D^3 is a prime, a
+    # prime square or a product of two distinct primes
+    p, q = 100003, 100019
+    assert TRIAL_LIMIT < p < q
+    assert squarefree_split(12 * p * p) == (2 * p, 3)
+    assert squarefree_split(12 * p * q) == (2, 3 * p * q)
+    assert squarefree_split(12 * p) == (2, 3 * p)
+    with pytest.raises(RadicandBudget):
+        squarefree_split(p * q * 100043)
+
+
+def test_arithmetic_keeps_the_radicand_without_splitting(monkeypatch):
+    x = quad(1, 2, 100003 * 100019)
+
+    def refuse(n):
+        raise AssertionError(f"split {n} again")
+
+    monkeypatch.setattr(exactnum, "squarefree_split", refuse)
+    y = (x * x - x) / (x + 3) + (-x) ** 3
+    assert y.c == x.c and not y.is_rational
 
 
 def test_normalization_folds_degenerate_radicands():
@@ -108,6 +131,8 @@ def test_format_decimal():
     assert format_decimal(F(1, 8)) == "0.125"
     assert format_decimal(quad(-9, 5, 5)) == "2.18033988750"
     assert format_decimal(F(0)) == "0"
+    # one correctly rounded division: no second rounding at 12 digits
+    assert format_decimal(1 + F(15, 10 ** 12) - F(1, 10 ** 40)) == "1.00000000001"
 
 
 def test_bounds_bracket_value():

@@ -164,6 +164,8 @@ def test_cone_ambient_unimodular_roundtrip():
     assert saturation(L).generators == ((0, 0),)
     assert h1_dim(L) == 1
     assert asymptotic_multiplicity(L) == 1
+    # (1, 0) and (1, 1) are the orthant's unit vectors in the rays' frame
+    assert multiplicity_sequence(L, 3) == multiplicity_sequence(ideal((1, 0), (0, 1)), 3)
 
 
 def test_cone_ambient_nonunimodular_asymptotics():

@@ -4,6 +4,7 @@ from math import lcm
 
 import pytest
 
+from locvol import toric
 from locvol.exactnum import compare_cbrt_sum
 from locvol.geometry import (
     Halfspace,
@@ -178,6 +179,7 @@ def test_h1_sequence_simplex_counts(tnc_datum):
 def test_h1_sequence_skips_fractional_scales(tnc_datum):
     seq = h1_sequence(tnc_divisor(tnc_datum, F(3, 2)), 8)
     assert [m for m, _, _ in seq] == [2, 4, 6, 8]
+    assert h1_sequence(tnc_divisor(tnc_datum, F(3, 2)), 1) == []  # below the Cartier step
 
 
 def test_h1_zero_divisor(tnc_datum):
@@ -269,6 +271,15 @@ def test_fujita_and_h1_share_limit(tnc_datum):
     assert abs(fuj_tail - lim) <= abs(h1_tail - lim)
 
 
+def test_fujita_hulls_skip_the_dominance_test(tnc_datum, monkeypatch):
+    def refuse(points, facets):
+        raise AssertionError("fujita_sequence ran the dominance test")
+
+    monkeypatch.setattr(toric, "_minimal_generators", refuse)
+    assert fujita_sequence(_wide_divisor(), 3) == [(3, 12688, F(12688, 27))]
+    assert fujita_sequence(tnc_divisor(tnc_datum, F(1, 2)), 4)
+
+
 def test_fujita_enumeration_shares_the_lattice_budget(octant_datum):
     # Meyer's cap is 5003 here: a box of 5004^2 fibres, past FIBRE_LIMIT
     d = ToricDivisor(octant_datum, (F(0), F(0), F(0), F(-5000)))
@@ -351,15 +362,28 @@ def _random_simplicial_divisor(rng):
     return ToricDivisor(ToricDatum(cone, rays), coeffs)
 
 
+def _wide_divisor():
+    """A divisor whose Meyer cap holds about 10^5 lattice points at level 3."""
+    cone = PointedCone([(0, -1, -2), (-1, 0, -2), (1, 1, 0)])
+    rays = [(-1, 0, -2), (0, -1, -2), (1, 1, 0), (-1, -1, -8), (0, 0, -1)]
+    return ToricDivisor(ToricDatum(cone, rays), (4, 5, -1, F(-1, 3), -1))
+
+
 def test_meyer_hull_matches_larger_caps(tnc_datum, q4_datum):
-    """Oracle for Meyer's cap: no lattice point above it changes the hull."""
+    """Oracle for Meyer's cap: no lattice point above it changes the hull,
+    and the hull of the points no dual ray lowers is the hull of the
+    minimal points that the dominance test keeps."""
     divisors = [(tnc_divisor(tnc_datum, t), p)
                 for t, p in ((F(1, 2), 2), (1, 1), (F(3, 2), 2), (2, 1))]
     divisors.append((ToricDivisor(q4_datum, (0, 0, 0, 0, -2, -2, -3, -3)), 1))
+    divisors.append((ToricDivisor(q4_datum, (1, 0, 2, 0, -3, -2, -2, -4)), 1))
     # the dual cone itself: its one vertex, the origin, puts the top at 0
     divisors.append((ToricDivisor(q4_datum, (0,) * 8), 1))
+    divisors.append((_wide_divisor(), 1))
     rng = random.Random(13)
     divisors += [(_random_simplicial_divisor(rng), 1) for _ in range(24)]
+    divisors += [(_reflected(_random_simplicial_divisor(rng),
+                             [rng.choice((1, -1)) for _ in range(3)]), 1) for _ in range(8)]
     nonpositive_tops = 0
     for d, p in divisors:
         cone = d.datum.cone
@@ -371,6 +395,7 @@ def test_meyer_hull_matches_larger_caps(tnc_datum, q4_datum):
         cap = top + width
         nonpositive_tops += top <= 0
         hull = stable_newton_region(region, cone)
+        assert same_set(hull, _hull_below(region, cone, cap))
         # twice the cap, or one more width of Π when twice would not be larger
         assert same_set(hull, _hull_below(region, cone, max(2 * cap, cap + width)))
         assert same_set(hull, _hull_below(region, cone, 3 * abs(top) + 3 * width + 10))
