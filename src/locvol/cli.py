@@ -23,17 +23,17 @@ from importlib import resources
 from . import LocvolError, __version__
 from .exactnum import QuadraticNumber, compare_cbrt_sum, format_decimal
 
-SUBCOMMANDS = {
-    "toric-volume": "toric",
-    "toric-h1": "toric",
-    "monomial-mult": "monomial",
-    "surface-volume": "surface",
-    "cone-volume": "cone",
-    "cone-gamma": "cone",
+SUBCOMMANDS = {  # the problem kinds each subcommand accepts
+    "toric-volume": ("toric",),
+    "toric-h1": ("toric",),
+    "monomial-mult": ("monomial",),
+    "surface-volume": ("surface",),
+    "cone-volume": ("cone",),
+    "cone-gamma": ("cone",),
     "bdff-volume": ("cone", "tcomp"),
-    "lambda-seq": "cone",
-    "fujita-check": "fujita",
-    "convexity-check": "logconvexity",
+    "lambda-seq": ("cone",),
+    "fujita-check": ("fujita",),
+    "convexity-check": ("logconvexity",),
 }
 
 
@@ -42,6 +42,10 @@ SEQUENCE_LIMIT = 10 ** 5  # levels one --m-max/--p-max sequence may have
 
 class ValidationFailure(Exception):
     pass
+
+
+class SequenceBudget(LocvolError):
+    """A sequence would have more than SEQUENCE_LIMIT levels."""
 
 
 # -- problem-file validation --------------------------------------------------
@@ -509,8 +513,6 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     try:
         _validate(problem)
         kinds = SUBCOMMANDS[args.subcommand]
-        if isinstance(kinds, str):
-            kinds = (kinds,)
         if problem["kind"] not in kinds:
             raise ValidationFailure(
                 f"subcommand {args.subcommand} expects kind "
@@ -526,10 +528,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
             if opts[key] < 1:
                 raise ValidationFailure(f"{key} must be at least 1, got {opts[key]}")
             if opts[key] > SEQUENCE_LIMIT:
-                _error("computation", "SequenceBudget",
-                       f"{key} {opts[key]} exceeds the limit of {SEQUENCE_LIMIT} levels",
-                       stdout)
-                return 3
+                raise SequenceBudget(
+                    f"{key} {opts[key]} exceeds the limit of {SEQUENCE_LIMIT} levels")
         output = args.output or opts.get("output", "json")
         record = _RUNNERS[args.subcommand](problem, opts)
     except ValidationFailure as exc:

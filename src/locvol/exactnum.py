@@ -51,8 +51,9 @@ def squarefree_split(n: int) -> tuple[int, int]:
 
     Trial division stops at D = TRIAL_LIMIT.  The cofactor m left then has
     no prime factor <= D, so below D^3 it is a prime, a prime square or a
-    product of two distinct primes, and isqrt tells them apart; past D^3
-    the split raises RadicandBudget.
+    product of two distinct primes, and isqrt tells them apart.  Past D^3
+    a cofactor that is not a square is square-free when it is a prime below
+    PRIME_BOUND, which _is_prime decides; any other raises RadicandBudget.
     """
     if n < 0:
         raise ValueError("negative radicand")
@@ -71,13 +72,40 @@ def squarefree_split(n: int) -> tuple[int, int]:
                 f *= d
         d += 1 if d == 2 else 2
     if d * d <= m:  # stopped at the bound
-        if m >= TRIAL_LIMIT ** 3:
+        if m >= TRIAL_LIMIT ** 3 and not _is_prime(m):
             raise RadicandBudget(f"the square-free part of {n} needs trial "
                                  f"division past {TRIAL_LIMIT}")
         r = isqrt(m)
         if r * r == m:
             return (s * r, f)
     return (s, f * m)
+
+
+PRIME_BOUND = 3317044064679887385961981  # strong pseudoprimes to bases 2..41 start here
+
+
+def _is_prime(m: int) -> bool:
+    """Whether an odd m with no prime factor below 41 is a prime below PRIME_BOUND.
+
+    A strong probable prime to the 13 prime bases 2..41 below that bound is
+    prime (Sorenson & Webster, Math. Comp. 86, 2017).
+    """
+    if m >= PRIME_BOUND:
+        return False
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class QuadraticNumber:

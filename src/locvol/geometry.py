@@ -204,9 +204,6 @@ class Halfspace:
     def holds(self, point) -> bool:
         return dot(self.normal, point) >= self.offset
 
-    def scaled(self, m) -> "Halfspace":
-        return Halfspace(self.normal, self.offset * Fraction(m))
-
 
 VRep = namedtuple("VRep", "vertices rays")
 VRep.__doc__ = "Minimal V-representation: vertices plus extreme recession rays."
@@ -244,11 +241,16 @@ class Polyhedron:
         return all(h.holds(point) for h in self.halfspaces)
 
     def scaled(self, m) -> "Polyhedron":
-        """Dilation m*P for rational m > 0."""
+        """Dilation m*P for rational m > 0; a cached V-representation comes
+        along as m times the vertices and the same rays."""
         m = Fraction(m)
         if m <= 0:
             raise ValueError("scale factor must be positive")
-        return Polyhedron(self.dim, [h.scaled(m) for h in self.halfspaces])
+        q = Polyhedron(self.dim, [(h.normal, m * h.offset) for h in self.halfspaces])
+        if self._vrep is not None:
+            q._vrep = VRep(tuple([tuple([m * x for x in v]) for v in self._vrep.vertices]),
+                           self._vrep.rays)
+        return q
 
     def intersect(self, h) -> "Polyhedron":
         """The polyhedron cut by one more row: a Halfspace or a pair."""
@@ -393,13 +395,16 @@ def _check_nested(inner: Polyhedron, outer: Polyhedron):
 
 
 def _difference_cap(inner: Polyhedron, outer: Polyhedron):
-    """Capping data (w, c) covering outer \\ inner, or None if difference empty.
+    """Capping data (w, best) for outer \\ inner, or None if no cap is needed.
 
-    w is strictly positive on the common recession cone and c exceeds the
-    w-value of every point of the difference.  An inner halfspace h is
-    nonnegative on that cone, so outer escapes it only if some vertex of
+    w is strictly positive on the common recession cone and best is the
+    largest w-value on the closure of the difference.  An inner halfspace h
+    is nonnegative on that cone, so outer escapes it only if some vertex of
     outer does.  Then outer n {not h} is bounded, h being strictly positive
-    on the cone, and w is largest there at one of its vertices.
+    on the cone, and w is largest there at one of its vertices.  Capping at
+    best keeps inner n {w <= best} nonempty: on a segment from a point of
+    the difference to a point of inner, the first point of inner is a limit
+    of points of the difference, so w <= best there.
     """
     rec = _check_nested(inner, outer)
     if not rec:
@@ -420,7 +425,7 @@ def _difference_cap(inner: Polyhedron, outer: Polyhedron):
         best = top if best is None else max(best, top)
     if best is None:
         return None
-    return (w, best + 1)
+    return (w, best)
 
 
 def _cap_halfspace(w, c):
@@ -434,8 +439,7 @@ def volume_of_difference(inner: Polyhedron, outer: Polyhedron) -> Fraction:
         if inner.vrep().rays:
             return Fraction(0)
         return volume_bounded(outer) - volume_bounded(inner)
-    w, c = cap
-    h = _cap_halfspace(w, c)
+    h = _cap_halfspace(*cap)
     return volume_bounded(outer.intersect(h)) - volume_bounded(inner.intersect(h))
 
 
@@ -460,20 +464,14 @@ def _integer_constraints(p: Polyhedron, m=1):
     return [(h.normal, ceil(m * h.offset)) for h in p.halfspaces]
 
 
-def _box_of(p: Polyhedron):
-    """Rational coordinate bounds (lo, hi) of a bounded polyhedron."""
+def _box_of(p: Polyhedron, m=1):
+    """Integer coordinate bounds (lo, hi) of the lattice points of m*P, for
+    a bounded polyhedron P."""
     vr = p.vrep()
     if vr.rays:
         raise Unbounded("cannot box an unbounded polyhedron")
-    lo = [min(v[i] for v in vr.vertices) for i in range(p.dim)]
-    hi = [max(v[i] for v in vr.vertices) for i in range(p.dim)]
-    return lo, hi
-
-
-def _lattice_box(box, m=1):
-    """Integer coordinate bounds of the lattice points of m times a box."""
-    lo, hi = box
-    return [ceil(m * x) for x in lo], [floor(m * x) for x in hi]
+    coords = list(zip(*vr.vertices))
+    return [ceil(m * min(c)) for c in coords], [floor(m * max(c)) for c in coords]
 
 
 def _fibre_count(lo, hi):
@@ -630,7 +628,7 @@ def lattice_points(p: Polyhedron):
     LatticeBudget before any is built.
     """
     try:
-        lo, hi = _lattice_box(_box_of(p))
+        lo, hi = _box_of(p)
     except EmptyPolyhedron:
         return []
     rows = _integer_constraints(p)
@@ -656,11 +654,10 @@ def lattice_difference_counts(inner: Polyhedron, outer: Polyhedron, scales):
     an increasing sequence of positive integers.
 
     The geometry is built once, at scale 1.  Nestedness, the recession rays
-    and w do not depend on m, and every cap value scales linearly:
-    the level-m difference has w <= m*best, where best bounds w on the
-    scale-1 difference.  So m times the vertex box of outer n {w <= best}
-    holds every level's difference, and any box that does gives the same
-    count.
+    and w do not depend on m, and the cap scales linearly: the level-m
+    difference has w <= m*best, where best is the cap of the scale-1
+    difference.  So m times outer n {w <= best} holds every level's
+    difference, and any box that does gives the same count.
     """
     if not scales:
         return []
@@ -672,12 +669,10 @@ def lattice_difference_counts(inner: Polyhedron, outer: Polyhedron, scales):
             return [0] * len(scales)
         region = outer
     else:
-        w, c = cap
-        region = outer.intersect(_cap_halfspace(w, c - 1))  # c = best + 1
-    box = _box_of(region)
-    _fibre_count(*_lattice_box(box, scales[-1]))  # fail before counting any level
+        region = outer.intersect(_cap_halfspace(*cap))
+    _fibre_count(*_box_of(region, scales[-1]))  # fail before counting any level
     return [
         count_lattice_points(_integer_constraints(outer, m),
-                             _integer_constraints(inner, m), *_lattice_box(box, m))
+                             _integer_constraints(inner, m), *_box_of(region, m))
         for m in scales
     ]

@@ -148,6 +148,13 @@ def local_volume_toric(d: ToricDivisor) -> Fraction:
     return factorial(n) * volume_of_difference(sections, punctured)
 
 
+def _levels(d: ToricDivisor, top: int):
+    """The levels 1..top at which every scaled coefficient is an integer:
+    the multiples of the Cartier index."""
+    step = lcm(*[a.denominator for a in d.coeffs])
+    return range(step, top + 1, step)
+
+
 def h1_sequence(d: ToricDivisor, m_max: int):
     """Exact lattice counts at scales 1..m_max with n!-normalized values.
 
@@ -156,8 +163,7 @@ def h1_sequence(d: ToricDivisor, m_max: int):
     """
     sections, punctured = divisor_polyhedra(d)
     n = d.datum.dim
-    step = lcm(*[a.denominator for a in d.coeffs])
-    scales = range(step, m_max + 1, step)
+    scales = _levels(d, m_max)
     counts = lattice_difference_counts(sections, punctured, scales)
     return [(m, c, Fraction(factorial(n) * c, m ** n)) for m, c in zip(scales, counts)]
 
@@ -244,20 +250,20 @@ def saturate_region(region: Polyhedron, rays, walls) -> Polyhedron:
 def fujita_sequence(d: ToricDivisor, p_max: int):
     """Normalized multiplicities of the pushforward ideals at levels 1..p_max.
 
+    The levels are those of h1_sequence.
     Each level takes the Newton region (integer hull) of the level's
     sections, saturates it by sliding, and takes the n!-normalized volume
     of the difference; the sequence approaches the local volume of the
-    divisor.
+    divisor.  The section polyhedron's vertices are found once, and each
+    level's region carries p times them.
     """
     datum = d.datum
     n = datum.dim
     sections, _ = divisor_polyhedra(d)
+    sections.vrep()
     out = []
-    for p in range(1, p_max + 1):
-        if any((p * a).denominator != 1 for a in d.coeffs):
-            continue
-        region = sections.scaled(p)
-        newton = stable_newton_region(region, datum.cone)
+    for p in _levels(d, p_max):
+        newton = stable_newton_region(sections.scaled(p), datum.cone)
         saturated = saturate_region(newton, datum.cone.facets, ())
         mult = factorial(n) * volume_of_difference(newton, saturated)
         out.append((p, mult, mult / Fraction(p ** n)))

@@ -333,9 +333,9 @@ def same_set(p, q):
 
 def lp_cap(inner, outer, w):
     """The cap w <= c over outer minus inner, by two LPs per inner halfspace:
-    one plus the largest LP value of w over outer n {not h}, for the
-    halfspaces h whose minimum over outer falls below their offset; None
-    when there are none."""
+    the largest LP value of w over outer n {not h}, for the halfspaces h
+    whose minimum over outer falls below their offset; None when there are
+    none."""
     best = None
     for h in inner.halfspaces:
         low = solve_lp(h.normal, rows(outer), "min")
@@ -345,7 +345,7 @@ def lp_cap(inner, outer, w):
         if not res.is_optimal:
             raise ValueError(f"capping LP is {res.status}")
         best = res.value if best is None else max(best, res.value)
-    return None if best is None else best + 1
+    return best
 
 
 def lp_has_positive_functional(rays, dim):

@@ -182,8 +182,7 @@ FLAGS = st.lists(st.sampled_from([("--m-max", "4"), ("--p-max", "2")]), unique=T
 
 @st.composite
 def problem(draw, subcommand):
-    kinds = SUBCOMMANDS[subcommand]
-    kind = draw(st.sampled_from([kinds] if isinstance(kinds, str) else list(kinds)))
+    kind = draw(st.sampled_from(SUBCOMMANDS[subcommand]))
     return {"kind": kind, "payload": draw(PAYLOADS[kind]), "options": draw(OPTIONS)}
 
 

@@ -400,6 +400,12 @@ def test_covers_walk_as_before():
     assert cone_singularity_volume(wide) == quad(-4000000000468000000018246000000237042,
                                                  16000000001248000000024320,
                                                  62500000004875000000095)
+    # the radicand 16 * 10000007000001223 leaves a prime cofactor past D^3,
+    # which the strong-probable-prime test certifies square-free
+    past_cube = AbelianCover(1, 100000035, 2)
+    _check_against_reference(past_cube)
+    assert cone_singularity_volume(past_cube) == quad(-1000001050000367200042770,
+                                                      10000007000001223, 10000007000001223)
 
 
 # k and h each over 21 rationals, 0 and 1 among them

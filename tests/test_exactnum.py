@@ -4,6 +4,7 @@ import pytest
 
 from locvol import exactnum
 from locvol.exactnum import (
+    PRIME_BOUND,
     TRIAL_LIMIT,
     FieldMismatch,
     QuadraticNumber,
@@ -44,6 +45,24 @@ def test_squarefree_split():
     assert squarefree_split(12 * p) == (2, 3 * p)
     with pytest.raises(RadicandBudget):
         squarefree_split(p * q * 100043)
+
+
+def test_prime_cofactors_past_the_cube_bound_are_square_free():
+    # past D^3 a cofactor that is a strong probable prime to the bases 2..41
+    # below PRIME_BOUND is prime (Sorenson & Webster 2017)
+    prime = 10000007000001223
+    assert prime >= TRIAL_LIMIT ** 3
+    assert squarefree_split(16 * prime) == (4, prime)
+    assert squarefree_split(3 * prime) == (1, 3 * prime)
+    # a product of two primes past D, the strong pseudoprimes to the bases
+    # 2..23 and 2..37 (each with every factor past D), and a prime past
+    # PRIME_BOUND all still refuse
+    refused = [(10 ** 8 + 7) * (10 ** 8 + 37), 3825123056546413051,
+               318665857834031151167461, 2 ** 89 - 1]
+    assert refused[-1] >= PRIME_BOUND > refused[-2]
+    for n in refused:
+        with pytest.raises(RadicandBudget):
+            squarefree_split(n)
 
 
 def test_arithmetic_keeps_the_radicand_without_splitting(monkeypatch):

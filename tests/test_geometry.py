@@ -139,6 +139,19 @@ def test_volume_homogeneity_exact():
         assert volume_bounded(p.scaled(m)) == F(m) ** 3 * F(79, 144)
 
 
+def test_scaled_polyhedra_carry_their_vertices():
+    """Once P's vertices are known, m*P comes with m times them and P's
+    rays: what a fresh double description of the scaled rows finds."""
+    bodies = [b_body(F(3, 2)), unit_cube(), staircase_hull(),
+              poly(2, [((0, 1), F(-1, 2)), ((1, 1), 0), ((1, 2), 1)])]
+    for p in bodies:
+        p.vrep()
+        for m in (1, 3, F(2, 3), F(7, 2)):
+            q = p.scaled(m)
+            assert q._vrep is not None
+            assert q._vrep == Polyhedron(q.dim, q.halfspaces).vrep()
+
+
 # -- difference volumes ------------------------------------------------------
 
 def test_difference_equal_polyhedra_is_zero():
@@ -186,7 +199,7 @@ def test_cap_independence():
     outer = poly(2, [((1, 0), 1), ((0, 1), 0)])
     w, c = _difference_cap(inner, outer)
     for bump in (0, 1, 2):
-        h = _cap_halfspace(w, c * 2 ** bump)
+        h = _cap_halfspace(w, c + bump)
         got = volume_bounded(outer.intersect(h)) - volume_bounded(inner.intersect(h))
         assert got == 3
 
@@ -367,6 +380,35 @@ def test_lattice_points_match_dense_scan(dim):
             [l - 1 for l in lo], [h + 1 for h in hi],
         )
         assert lattice_points(p) == expected
+
+
+def test_box_of_bounds_the_lattice_points_of_every_scale():
+    from itertools import product
+
+    from locvol.geometry import _box_of
+
+    rng = random.Random(31)
+    bodies = [b_body(F(3, 2)), unit_cube()]
+    while len(bodies) < 8:
+        dim = rng.choice((2, 3))
+        box = [(tuple(s * int(j == i) for j in range(dim)),
+                F(-rng.randint(1, 3), rng.randint(1, 2))) for i in range(dim) for s in (1, -1)]
+        rows = [(tuple(rng.randint(-3, 3) for _ in range(dim)), F(rng.randint(-6, 1), 2))
+                for _ in range(2)]
+        body = poly(dim, box + [r for r in rows if any(r[0])])
+        try:
+            body.vrep()
+        except EmptyPolyhedron:
+            continue
+        bodies.append(body)
+    for body in bodies:
+        for m in (1, 2, 3, F(5, 2)):
+            scaled = body.scaled(m)
+            lo, hi = _box_of(body, m)
+            assert (lo, hi) == _box_of(scaled)
+            reach = range(-int(3 * m) - 2, int(3 * m) + 3)
+            points = [pt for pt in product(reach, repeat=body.dim) if scaled.contains(pt)]
+            assert all(l <= x <= h for pt in points for x, l, h in zip(pt, lo, hi))
 
 
 def test_fibre_scan_at_2_62_takes_exact_integers():

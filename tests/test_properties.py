@@ -308,7 +308,7 @@ def _ehrhart_period(d):
     cap = _difference_cap(inner, outer)
     if cap is None:
         return None
-    top = _cap_halfspace(cap[0], cap[1] - 1)
+    top = _cap_halfspace(*cap)
     return lcm(*(x.denominator for region in (outer, inner)
                  for v in region.intersect(top).vrep().vertices for x in v))
 

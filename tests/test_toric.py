@@ -280,6 +280,24 @@ def test_fujita_hulls_skip_the_dominance_test(tnc_datum, monkeypatch):
     assert fujita_sequence(tnc_divisor(tnc_datum, F(1, 2)), 4)
 
 
+def test_fujita_levels_carry_the_section_vertices(tnc_datum, octant_datum, monkeypatch):
+    """Each level's region p*P inherits P's vertices, so no level runs a
+    double description for them; the levels are those of h1_sequence."""
+    cached = []
+
+    def traced(region, cone):
+        cached.append(region._vrep is not None)
+        return stable_newton_region(region, cone)
+
+    monkeypatch.setattr(toric, "stable_newton_region", traced)
+    divisors = [tnc_divisor(tnc_datum, t) for t in (1, F(1, 2), F(3, 2))]
+    divisors.append(ToricDivisor(octant_datum, (F(0), F(0), F(0), F(-1, 2))))
+    for d in divisors:
+        levels = [p for p, _, _ in fujita_sequence(d, 6)]
+        assert levels == [m for m, _, _ in h1_sequence(d, 6)]
+    assert len(cached) == 6 + 3 + 3 + 3 and all(cached)
+
+
 def test_fujita_enumeration_shares_the_lattice_budget(octant_datum):
     # Meyer's cap is 5003 here: a box of 5004^2 fibres, past FIBRE_LIMIT
     d = ToricDivisor(octant_datum, (F(0), F(0), F(0), F(-5000)))
