@@ -72,12 +72,12 @@ def squarefree_split(n: int) -> tuple[int, int]:
                 f *= d
         d += 1 if d == 2 else 2
     if d * d <= m:  # stopped at the bound
-        if m >= TRIAL_LIMIT ** 3 and not _is_prime(m):
-            raise RadicandBudget(f"the square-free part of {n} needs trial "
-                                 f"division past {TRIAL_LIMIT}")
         r = isqrt(m)
         if r * r == m:
             return (s * r, f)
+        if m >= TRIAL_LIMIT ** 3 and not _is_prime(m):
+            raise RadicandBudget(f"the square-free part of {n} needs trial "
+                                 f"division past {TRIAL_LIMIT}")
     return (s, f * m)
 
 

@@ -2,46 +2,37 @@
 
 H-representations over the rationals are primary.  Rank, determinant and
 linear solves come from the one elimination core in locvol.linalg.
-Vertex enumeration and facet enumeration both run through one
-double-description routine on cones, whose adjacency test is combinatorial:
-a pair of rays is adjacent iff no third ray is tight on all rows both are
-tight on.  It is the kernel's only polyhedral algorithm: no coordinate is
-eliminated, no row is dropped and no linear program is solved, so a
-polyhedron may carry rows the others imply, which change no set, volume
-or count.  A pass that would build more than RAY_LIMIT candidate rays
-raises RayBudget before it builds any.  Volumes of bounded regions come
-from a recursive boundary-fan triangulation with exact determinants;
-volumes and lattice-point counts of bounded differences of nested
-unbounded polyhedra are obtained by capping with a halfspace that is
-strictly positive on the common recession cone, at a height read off the
-vertices of bounded pieces.
+Vertex enumeration and facet enumeration both run through the one
+double-description routine, locvol.dd.cone_extreme_rays.  It is the
+kernel's only polyhedral algorithm: no coordinate is eliminated, no row is
+dropped and no linear program is solved, so a polyhedron may carry rows
+the others imply, which change no set, volume or count.  Volumes of
+bounded regions come from a recursive boundary-fan triangulation with
+exact determinants; volumes and lattice-point counts of bounded
+differences of nested unbounded polyhedra are obtained by capping with a
+halfspace that is strictly positive on the common recession cone, at a
+height read off the vertices of bounded pieces.
 
-Lattice points are found by one slice scan on Python ints.  A slice fixes
-the first n-2 coordinates; in the plane left over, every row is a line
-bounding the last coordinate from below or above, or a bound on the other
-one.  The points of a slice lie between the least upper and the greatest
-lower line over an x-range given exactly by the pairs of lines, so a slice
-is counted by a few floor sums, each O(log) by Euclid's algorithm, and
-enumerated by evaluating the two envelopes at each x.  A difference count
-is N(O) - N(O and I).  A box of more than FIBRE_LIMIT fibres (lines along
-the last coordinate) raises LatticeBudget before any slice is visited, and
-an enumeration of more than POINT_LIMIT points raises it before any point
-is built.  numpy is never loaded.
+Lattice points are counted and enumerated by the one slice scan,
+locvol.lattice, over the integer rows and the integer box this module
+reads off a polyhedron.  A difference count is N(O) - N(O and I).  A box
+of more than FIBRE_LIMIT fibres (lines along the last coordinate) raises
+LatticeBudget before any slice is visited, and an enumeration of more than
+POINT_LIMIT points raises it before any point is built.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import product
 from math import factorial, ceil, floor, prod
 
-from . import LocvolError
+from .dd import GeometryError, cone_extreme_rays
+from .lattice import _count, _envelope_at, _slices
 # solve_linear is bound here, unused, because perfbench/tracing.py targets
 # locvol.geometry.{mat_rank,solve_linear}; rebinding the shared function
 # object rewrites the bindings in linalg and in every module importing it
 from .linalg import (  # noqa: F401
-    _bareiss,
     clear_denominators,
     dot,
     mat_det,
@@ -50,10 +41,6 @@ from .linalg import (  # noqa: F401
     solve_linear,
     vec_gcd,
 )
-
-
-class GeometryError(LocvolError):
-    """Base class for polyhedral kernel failures."""
 
 
 class EmptyPolyhedron(GeometryError):
@@ -90,98 +77,6 @@ def affine_rank(points) -> int:
         return 0
     p0 = pts[0]
     return mat_rank([[x - y for x, y in zip(p, p0)] for p in pts[1:]])
-
-
-# ---------------------------------------------------------------------------
-# double description: extreme rays of {x : <row, x> >= 0}
-# ---------------------------------------------------------------------------
-
-RAY_LIMIT = 1 << 16  # candidate rays (pos x neg pairs) one DD pass may build
-
-
-class RayBudget(GeometryError):
-    """A double-description pass would build more than RAY_LIMIT candidate rays."""
-
-
-def cone_extreme_rays(rows, dim):
-    """Extreme rays and lineality basis of the cone {x : <r, x> >= 0 for all r}.
-
-    Rays are primitive integer vectors.  A maximal independent prefix of the
-    rows is processed first, so it consumes the whole lineality space; after
-    it, the rays are the extreme rays of a pointed cone modulo the lineality,
-    and two of them are adjacent iff no third ray is tight on every row both
-    are tight on (Fukuda & Prodon 1996).
-    """
-    rows = [primitive(clear_denominators(r)[0]) for r in rows]
-    rows = [r for r in rows if any(r)]
-    prefix, _, _ = _bareiss([list(col) for col in zip(*rows)])
-    rows = [rows[i] for i in prefix] + [r for i, r in enumerate(rows) if i not in prefix]
-
-    lin = [tuple([1 if j == i else 0 for j in range(dim)]) for i in range(dim)]
-    rays = []  # list of (vector, tight bitmask over processed rows)
-
-    for k, a in enumerate(rows):
-        lvals = [dot(a, l) for l in lin]
-        j0 = next((j for j, v in enumerate(lvals) if v != 0), None)
-        if j0 is not None:
-            l0 = lin[j0] if lvals[j0] > 0 else tuple([-x for x in lin[j0]])
-            v0 = abs(lvals[j0])
-            new_lin = []
-            for j, l in enumerate(lin):
-                if j == j0:
-                    continue
-                w = primitive([v0 * x - dot(a, l) * y for x, y in zip(l, l0)])
-                new_lin.append(w)
-            lin = new_lin
-            new_rays = []
-            for r, mask in rays:
-                w = primitive([v0 * x - dot(a, r) * y for x, y in zip(r, l0)])
-                new_rays.append((w, mask | (1 << k)))
-            new_rays.append((l0, (1 << k) - 1))
-            rays = _dedupe(new_rays)
-            continue
-        pos, zer, neg = [], [], []
-        for r, mask in rays:
-            v = dot(a, r)
-            if v > 0:
-                pos.append((r, mask, v))
-            elif v < 0:
-                neg.append((r, mask, v))
-            else:
-                zer.append((r, mask | (1 << k)))
-        if not neg:
-            rays = [(r, m) for r, m, _ in pos] + zer
-            continue
-        if not pos:
-            rays = zer
-            continue
-        if len(pos) * len(neg) > RAY_LIMIT:
-            raise RayBudget(f"a double-description pass would pair {len(pos)} with "
-                            f"{len(neg)} rays, over the limit of {RAY_LIMIT} "
-                            f"candidate rays")
-        masks = [m for _, m in rays]
-        combos = []
-        for rp, mp, vp in pos:
-            for rn, mn, vn in neg:
-                common = mp & mn
-                # the pair itself always qualifies; a third ray means the
-                # pair spans more than an edge and the combination is not extreme
-                if sum(m & common == common for m in masks) > 2:
-                    continue
-                w = primitive([vp * x - vn * y for x, y in zip(rn, rp)])
-                combos.append((w, common | (1 << k)))
-        rays = _dedupe([(r, m) for r, m, _ in pos] + zer + combos)
-    return [r for r, _ in rays], lin
-
-
-def _dedupe(rays):
-    seen = {}
-    for r, m in rays:
-        if r in seen:
-            seen[r] |= m
-        else:
-            seen[r] = m
-    return list(seen.items())
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +339,7 @@ def volume_of_difference(inner: Polyhedron, outer: Polyhedron) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# lattice points: 2-dim slices
+# lattice points: boxes and budgets around the slice scan
 # ---------------------------------------------------------------------------
 
 FIBRE_LIMIT = 1 << 24   # fibres (lines along the last coordinate) one box may span
@@ -482,134 +377,6 @@ def _fibre_count(lo, hi):
             f"lattice scan needs {fibres} fibres; the limit is {FIBRE_LIMIT}"
         )
     return fibres
-
-
-def _floor_sum(n, m, a, b):
-    """Sum of floor((a*i + b)/m) over 0 <= i < n, for n >= 0 and m >= 1.
-
-    After a and b are reduced mod m the sum counts the lattice points under
-    a segment, and exchanging the axes leaves the same sum with (m, a)
-    replaced by (a, m): Euclid's algorithm, O(log m) steps on Python ints
-    (Graham, Knuth & Patashnik, Concrete Mathematics, section 3.5).
-    """
-    total = 0
-    while n:
-        q, a = divmod(a, m)
-        total += q * (n * (n - 1) // 2)
-        q, b = divmod(b, m)
-        total += q * n
-        top = a * n + b
-        if top < m:
-            break
-        n, b = divmod(top, m)
-        m, a = a, m
-    return total
-
-
-def _envelope_sum(lines, x0, x1):
-    """Sum over x0 <= x <= x1 of the least floor((a*x + c)/q) over the lines,
-    which come in order of falling slope a/q.
-
-    The least of the real lines is a concave envelope, and walking it from
-    x0 the slope only falls: the lowest line at x (the flattest of a tie)
-    stays lowest until a flatter line crosses it, so each piece of the
-    envelope is one floor sum.
-    """
-    total, first = 0, 0
-    while x0 <= x1:
-        j = first
-        a, c, q = lines[j]
-        for i in range(first + 1, len(lines)):
-            a2, c2, q2 = lines[i]
-            if (a2 * x0 + c2) * q <= (a * x0 + c) * q2:
-                j, a, c, q = i, a2, c2, q2
-        end = x1
-        for a2, c2, q2 in lines[j + 1:]:
-            s = a * q2 - a2 * q
-            if s > 0:  # (a*x + c)/q <= (a2*x + c2)/q2 while x*s <= c2*q - c*q2
-                end = min(end, (c2 * q - c * q2) // s)
-        total += _floor_sum(end - x0 + 1, q, a, a * x0 + c)
-        x0, first = end + 1, j + 1
-    return total
-
-
-def _envelope_at(lines, x):
-    return min((a * x + c) // q for a, c, q in lines)
-
-
-def _slices(rows, lo, hi):
-    """The rows a.x >= b on the box [lo, hi], cut into 2-dim slices.
-
-    A slice fixes the prefix p of the first n-2 coordinates and leaves
-    (x, y) = (x_{n-1}, x_n).  There a row reads alpha*x + beta*y >= r with
-    r = b - a'.p: for beta > 0 it is the lower line -y <= (alpha*x - r)/beta,
-    for beta < 0 the upper line y <= (alpha*x - r)/|beta|, and for beta = 0
-    a bound on x; the box adds y >= lo and y <= hi as lines.  The slice's
-    points are then -L(x) <= y <= U(x), where U and L are the least
-    floor((alpha*x - r)/|beta|) over the upper and the lower lines.  Each
-    pair of a lower and an upper line adds the bound on x under which the
-    two real lines do not cross (Fourier-Motzkin elimination of y); where
-    all such bounds hold, U + L + 1 >= 0, and where one fails, U + L + 1 <= 0.
-
-    Yields (p, x0, x1, upper, lower) for every prefix in lexicographic
-    order with a nonempty x-range [x0, x1]; a line is (alpha, -r, |beta|),
-    and each group comes in order of falling slope.  Dimension 1 is one
-    slice, x_1 being x and y a last coordinate pinned to 0.
-    """
-    rows = [(tuple(a), b) for a, b in rows]
-    if len(lo) == 1:
-        rows = [(a + (0,), b) for a, b in rows]
-        lo, hi = [lo[0], 0], [hi[0], 0]
-    k = len(lo) - 2
-    y_unit = (0,) * (k + 1)
-    rows = dict.fromkeys(rows + [(y_unit + (1,), lo[-1]), (y_unit + (-1,), -hi[-1])])
-    falling = lambda row: Fraction(-row[0][k], abs(row[0][-1]))
-    lower = sorted((r for r in rows if r[0][-1] > 0), key=falling)
-    upper = sorted((r for r in rows if r[0][-1] < 0), key=falling)
-    flat = [r for r in rows if not r[0][-1]]
-    for ai, bi in lower:
-        for aj, bj in upper:
-            qi, qj = ai[-1], -aj[-1]
-            flat.append((tuple([qj * u + qi * v for u, v in zip(ai, aj)]), qj * bi + qi * bj))
-    flat = list(dict.fromkeys(flat))
-    bounds = [a[k] for a, _ in flat]
-    slopes = [(a[k], abs(a[-1])) for a, _ in upper + lower]
-    nf, nu = len(flat), len(upper)
-    for prefix, offsets in _prefix_offsets(flat + upper + lower, lo, hi, k):
-        x0, x1 = lo[k], hi[k]
-        for alpha, r in zip(bounds, offsets):
-            if alpha > 0:
-                x0 = max(x0, -(-r // alpha))
-            elif alpha < 0:
-                x1 = min(x1, r // alpha)
-            elif r > 0:
-                x1 = x0 - 1
-                break
-        if x0 <= x1:
-            lines = [(alpha, -r, q) for (alpha, q), r in zip(slopes, offsets[nf:])]
-            yield prefix, x0, x1, lines[:nu], lines[nu:]
-
-
-def _prefix_offsets(forms, lo, hi, k):
-    """(p, [b - a.p for each form (a, b)]) over the prefixes p of the box's
-    first k coordinates, in lexicographic order.  The last coordinate of p
-    moves innermost, so one subtraction per form takes each step.
-    """
-    if not k:
-        yield (), [b for _, b in forms]
-        return
-    step = [a[k - 1] for a, _ in forms]
-    for head in product(*[range(lo[i], hi[i] + 1) for i in range(k - 1)]):
-        offsets = [b - dot(a, head) - c * lo[k - 1] for (a, b), c in zip(forms, step)]
-        for v in range(lo[k - 1], hi[k - 1] + 1):
-            yield head + (v,), offsets
-            offsets = [r - c for r, c in zip(offsets, step)]
-
-
-def _count(rows, lo, hi):
-    """Integer points of the box [lo, hi] satisfying every row, exactly."""
-    return sum(_envelope_sum(upper, x0, x1) + _envelope_sum(lower, x0, x1) + x1 - x0 + 1
-               for _, x0, x1, upper, lower in _slices(rows, lo, hi))
 
 
 def count_lattice_points(outer_rows, inner_rows, lo, hi):

@@ -299,7 +299,7 @@ def _psef_normals(lat: SurfaceLattice):
     A positively; and an extremal class of negative square is a curve, so
     the declared curves lie in it and each such extreme ray is one of them.
     """
-    from .geometry import cone_extreme_rays  # round models never load it
+    from .dd import cone_extreme_rays  # round models never load it
 
     normals, lineality = cone_extreme_rays(lat.psef_generators, lat.rank)
     if lineality or any(dot(f, lat.ample) <= 0 for f in normals):

@@ -23,10 +23,10 @@ from math import factorial, lcm
 from operator import ge
 
 from . import LocvolError
+from .dd import cone_extreme_rays
 from .geometry import (
     Halfspace,
     Polyhedron,
-    cone_extreme_rays,
     facets_from_generators,
     hull_polyhedron,
     lattice_difference_counts,

@@ -611,16 +611,16 @@ def test_no_subcommand_loads_numpy_or_jsonschema(tmp_path):
 CLI_MODULES = ["locvol", "locvol.cli", "locvol.exactnum"]
 # the kernel modules each family of subcommands loads on top of CLI_MODULES:
 # toric calls need no surface or cone layer, and surface and cone calls
-# need no toric or monomial layer, nor the polyhedral kernel (geometry)
-# unless a lattice's psef cone is spanned by generators
+# need no toric or monomial layer, nor the polyhedral kernel, save its
+# double description (dd) when a lattice's psef cone is spanned by generators
 FAMILY_MODULES = {
-    "toric": ["geometry", "linalg", "toric"],
-    "monomial": ["geometry", "linalg", "monomial", "toric"],
+    "toric": ["dd", "geometry", "lattice", "linalg", "toric"],
+    "monomial": ["dd", "geometry", "lattice", "linalg", "monomial", "toric"],
     "surface": ["linalg", "surface"],
     "cone": ["cone", "linalg", "surface"],
 }
 # p1xC.json's lattice has psef generators: its cone takes one double description
-PSEF_GENERATOR_FIXTURES = {"p1xC.json": ["geometry"]}
+PSEF_GENERATOR_FIXTURES = {"p1xC.json": ["dd"]}
 SUBCOMMAND_FAMILY = {
     "toric-volume": "toric", "toric-h1": "toric", "fujita-check": "toric",
     "convexity-check": "toric", "monomial-mult": "monomial",
@@ -707,9 +707,9 @@ def test_value_error_while_building_still_exits_2(monkeypatch):
 
 
 def test_dd_budget_ends_with_a_record(monkeypatch, result_validator):
-    from locvol import geometry
+    from locvol import dd
 
-    monkeypatch.setattr(geometry, "RAY_LIMIT", 1)
+    monkeypatch.setattr(dd, "RAY_LIMIT", 1)
     code, out, _ = invoke("toric-volume", fixture("tnc.json"))
     assert code == 3
     record = json.loads(out)

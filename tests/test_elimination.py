@@ -12,7 +12,7 @@ from math import gcd
 
 import pytest
 
-from locvol.geometry import cone_extreme_rays
+from locvol.dd import cone_extreme_rays
 from locvol.linalg import dot, mat_det, mat_rank, primitive, solve_linear
 from locvol.surface import ldl_pivots_negative, symmetric_inertia
 

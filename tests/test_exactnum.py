@@ -54,6 +54,9 @@ def test_prime_cofactors_past_the_cube_bound_are_square_free():
     assert prime >= TRIAL_LIMIT ** 3
     assert squarefree_split(16 * prime) == (4, prime)
     assert squarefree_split(3 * prime) == (1, 3 * prime)
+    # a square cofactor past D^3 splits by isqrt, whatever its root's factors
+    assert (10 ** 8 + 7) ** 2 >= TRIAL_LIMIT ** 3
+    assert squarefree_split(3 * (10 ** 8 + 7) ** 2) == (100000007, 3)
     # a product of two primes past D, the strong pseudoprimes to the bases
     # 2..23 and 2..37 (each with every factor past D), and a prime past
     # PRIME_BOUND all still refuse

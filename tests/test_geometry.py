@@ -437,22 +437,22 @@ def test_fibre_budget_is_checked_before_scanning():
 
 
 def test_dd_pass_over_the_ray_budget_raises(monkeypatch):
-    from locvol import geometry
+    from locvol import dd
 
     # cone over the unit square: after the three independent rows, the last
     # row splits the rays (0,0,1), (1,0,1), (0,1,0) into two positive and one
     # negative, so its pass builds two candidate rays
     rows = [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)]
-    monkeypatch.setattr(geometry, "RAY_LIMIT", 2)
-    rays, lin = geometry.cone_extreme_rays(rows, 3)
+    monkeypatch.setattr(dd, "RAY_LIMIT", 2)
+    rays, lin = dd.cone_extreme_rays(rows, 3)
     assert sorted(rays) == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)] and lin == []
-    monkeypatch.setattr(geometry, "RAY_LIMIT", 1)
-    with pytest.raises(geometry.RayBudget, match="pair 2 with 1 rays, over the limit of 1"):
-        geometry.cone_extreme_rays(rows, 3)
+    monkeypatch.setattr(dd, "RAY_LIMIT", 1)
+    with pytest.raises(dd.RayBudget, match="pair 2 with 1 rays, over the limit of 1"):
+        dd.cone_extreme_rays(rows, 3)
 
 
 def test_floor_sum_matches_naive_sum():
-    from locvol.geometry import _floor_sum
+    from locvol.lattice import _floor_sum
 
     rng = random.Random(7)
     for trial in range(600):
@@ -483,7 +483,8 @@ def slice_rows(rng, dim, k):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_slice_count_matches_dense_scan(dim):
-    from locvol.geometry import _count, _envelope_at, _slices, count_lattice_points
+    from locvol.geometry import count_lattice_points
+    from locvol.lattice import _count, _envelope_at, _slices
 
     rng = random.Random(100 + dim)
     # prefixes whose x-range is empty, and x inside an x-range with no point

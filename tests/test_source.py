@@ -86,14 +86,21 @@ def test_import_layers():
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
     imports = {name: _locvol_imports(ast.walk(tree)) for name, tree in trees.items()}
     assert imports["linalg"] == imports["linprog"] == set()
+    # the double description and the slice scan are leaf modules: compiling
+    # either one compiles nothing of the kernel above locvol.linalg
+    assert imports["dd"] <= {"locvol", "locvol.linalg"}, imports["dd"]
+    assert imports["lattice"] <= {"locvol", "locvol.linalg"}, imports["lattice"]
     # the simplex is the tests' reference only: no package module runs it
     assert [name for name, found in imports.items() if "locvol.linprog" in found] == []
     # a lattice with psef generators reads its cone by double description,
-    # loading geometry on demand, so dual graphs and round models never do
-    assert "locvol.geometry" in imports["surface"]
-    assert "locvol.geometry" not in _locvol_imports(_import_time_nodes(trees["surface"]))
-    assert not imports["surface"] & {"locvol.toric", "locvol.monomial"}, imports["surface"]
-    polyhedral = {"locvol.geometry", "locvol.toric", "locvol.monomial"}
+    # loading dd on demand, so dual graphs and round models never do, and
+    # no surface model loads the rest of the polyhedral kernel
+    assert "locvol.dd" in imports["surface"]
+    assert "locvol.dd" not in _locvol_imports(_import_time_nodes(trees["surface"]))
+    assert not imports["surface"] & {"locvol.geometry", "locvol.lattice", "locvol.toric",
+                                     "locvol.monomial"}, imports["surface"]
+    polyhedral = {"locvol.dd", "locvol.geometry", "locvol.lattice", "locvol.toric",
+                  "locvol.monomial"}
     assert not imports["cone"] & polyhedral, imports["cone"]
     assert [name for name, found in imports.items() if "locvol.cli" in found] == []
 
