@@ -1,10 +1,15 @@
 """Batch command-line interface.
 
 One problem per JSON file; the subcommand picks the operation, the file's
-`kind` must match.  Results are emitted on standard output as a single
-deterministic JSON record (or CSV for sequence tables): exact values always
-accompany the 12-digit decimal rendering, which is presentation-only.
-Exit codes: 0 success, 2 invalid input, 3 computational failure.
+`kind` must match.  A run validates the file against the problem schema,
+builds the payload's objects with its kind's one builder (`_BUILDERS`),
+computes, and emits a single deterministic JSON record (or CSV for sequence
+tables) on standard output: exact values always accompany the 12-digit
+decimal rendering, which is presentation-only.
+Exit codes: 0 success; 2 invalid input, which is a file that fails the
+schema or a payload whose objects raise ValueError while being built;
+3 computational failure, which is any LocvolError, one raised while
+building included, or a ValueError raised after building.
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import pkgutil
 import re
 import sys
 import time
 from fractions import Fraction
-from importlib import resources
 
 # every record renders through exactnum; the kernel layers are imported by
 # the builders and runners that use them, so a call loads only its family
@@ -171,8 +176,8 @@ class ProblemSchema:
 
 @functools.cache
 def _problem_schema() -> ProblemSchema:
-    text = resources.files("locvol").joinpath("schemas/problem.schema.json").read_text()
-    return ProblemSchema(json.loads(text))
+    # pkgutil rather than importlib.resources, which loads about twice the modules
+    return ProblemSchema(json.loads(pkgutil.get_data("locvol", "schemas/problem.schema.json")))
 
 
 def _validate(problem):
@@ -183,16 +188,11 @@ def _validate(problem):
 
 
 def _fraction(value) -> Fraction:
-    if isinstance(value, bool):
-        raise ValidationFailure(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    # the schema's rational is an int or a string like "-3/2", and "1/0" matches it
+    try:
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationFailure(f"bad rational {value!r}: {exc}")
-    raise ValidationFailure(f"not a rational: {value!r}")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational {value!r}: {exc}") from exc
 
 
 def _render_exact(value):
@@ -207,60 +207,58 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _exact_text(exact):
+    """A CSV value: p/q, or a+b*sqrt(c) for a quadratic irrational."""
+    if "rational" in exact:
+        return exact["rational"]
+    q = exact["quadratic"]
+    return f"{q['a']}+{q['b']}*sqrt({q['c']})"
+
+
 def _cell(value):
-    """Sequence-table cell: p/q, or a+b*sqrt(c) for a quadratic irrational."""
-    if isinstance(value, QuadraticNumber):
-        return f"{_frac_str(value.a)}+{_frac_str(value.b)}*sqrt({value.c})"
-    return _frac_str(Fraction(value))
+    """A sequence-table cell, written as CSV writes the exact value."""
+    return _exact_text(_render_exact(value))
 
 
-def _record(problem, value, provenance, sequences=None, verdict=None):
+def _record(problem, value, provenance, header=None, rows=None, verdict=None):
     rec = {
         "input": problem,
         "exact_value": _render_exact(value),
         "float_value": format_decimal(value),
         "provenance": provenance,
     }
-    if sequences:
-        rec["sequences"] = sequences
+    if header is not None:
+        rec["sequences"] = {"header": header, "rows": rows}
     if verdict is not None:
         rec["verdict"] = verdict
     return rec
 
 
-# -- payload builders ---------------------------------------------------------
+# -- building objects ---------------------------------------------------------
+#
+# One builder per payload shape, keyed in _BUILDERS by problem kind as the
+# schema's allOf keys the payload definitions.
 
-def _builder(build):
-    """A ValueError raised while building a payload's objects is invalid
-    input (exit 2); errors of the computation itself keep exit 3."""
-    @functools.wraps(build)
-    def checked(*args):
-        try:
-            return build(*args)
-        except ValueError as exc:
-            raise ValidationFailure(str(exc)) from exc
-    return checked
+def _divisors(payload, *keys):
+    from .toric import PointedCone, ToricDatum, ToricDivisor
+
+    datum = ToricDatum(PointedCone(payload["cone"]["generators"]), payload["rays"])
+    return [ToricDivisor(datum, [_fraction(c) for c in payload[key]]) for key in keys]
 
 
-@_builder
-def _build_datum(payload):
-    from .toric import NotInCone, PointedCone, ToricDatum
-
-    try:
-        return ToricDatum(PointedCone(payload["cone"]["generators"]), payload["rays"])
-    except NotInCone as exc:  # a ray outside the cone is input, not a computation
-        raise ValidationFailure(str(exc)) from exc
+def _divisor(payload):
+    return _divisors(payload, "coeffs")[0]
 
 
-@_builder
-def _build_divisor(datum, coeffs):
-    from .toric import ToricDivisor
+def _divisor_pair(payload):
+    pair = _divisors(payload, "coeffs_a", "coeffs_b")
+    if pair[0].datum.dim != 3:
+        raise ValueError("convexity certification is implemented for "
+                         "three-dimensional cones")
+    return pair
 
-    return ToricDivisor(datum, [_fraction(c) for c in coeffs])
 
-
-@_builder
-def _build_ideal(payload):
+def _ideal(payload):
     from .monomial import MonomialIdeal
     from .toric import PointedCone
 
@@ -270,18 +268,23 @@ def _build_ideal(payload):
     return MonomialIdeal(payload["generators"], ambient=ambient)
 
 
-@_builder
-def _build_graph(payload):
+def _graph(payload):
+    """The dual graph, and the divisor on it or None."""
     from .surface import DualGraph
 
     verts = [(v["self_int"], v.get("genus", 0)) for v in payload["vertices"]]
     edges = [(e["i"], e["j"], e.get("multiplicity", 1))
              for e in payload.get("edges", [])]
-    return DualGraph(verts, edges)
+    graph = DualGraph(verts, edges)
+    if "divisor" not in payload:
+        return graph, None
+    d = [_fraction(x) for x in payload["divisor"]]
+    if len(d) != graph.rank:
+        raise ValueError("divisor length must match the vertex count")
+    return graph, d
 
 
-@_builder
-def _build_model(payload):
+def _model(payload):
     from .cone import AbelianCover, Curve, LatticeModel, ProjSpace
     from .surface import SurfaceLattice
 
@@ -294,119 +297,115 @@ def _build_model(payload):
         return ProjSpace(model["dim"], model["h"])
     if kind == "abelian_cover":
         return AbelianCover(model["base_sq"], model["mixed"], model["pol_sq"])
-    if kind == "lattice":
-        lattice = SurfaceLattice(
-            model["gram"], model["canonical"], model["ample"],
-            negative_curves=model.get("negative_curves", ()),
-            psef_generators=model.get("psef_generators", ()),
-        )
-        k = model.get("k", model["canonical"])
-        return LatticeModel(
-            lattice,
-            [_fraction(x) for x in k],
-            [_fraction(x) for x in model["h"]],
-            envelope_nef_certified=model.get("envelope_nef_certified", False),
-        )
-    raise ValidationFailure(f"unknown model type {kind!r}")
+    # the schema's oneOf leaves "lattice" as the only other type
+    lattice = SurfaceLattice(
+        model["gram"], model["canonical"], model["ample"],
+        negative_curves=model.get("negative_curves", ()),
+        psef_generators=model.get("psef_generators", ()),
+    )
+    k = model.get("k", model["canonical"])
+    return LatticeModel(
+        lattice,
+        [_fraction(x) for x in k],
+        [_fraction(x) for x in model["h"]],
+        envelope_nef_certified=model.get("envelope_nef_certified", False),
+    )
+
+
+_BUILDERS = {
+    "toric": _divisor, "fujita": _divisor,
+    "logconvexity": _divisor_pair,
+    "monomial": _ideal,
+    "surface": _graph,
+    "cone": _model, "tcomp": _model,
+}
+
+
+def _objects(problem):
+    """The objects a problem's payload describes.  A ValueError raised while
+    building them is invalid input (exit 2); a LocvolError keeps exit 3."""
+    try:
+        return _BUILDERS[problem["kind"]](problem["payload"])
+    except ValueError as exc:
+        raise ValidationFailure(str(exc)) from exc
 
 
 # -- subcommand implementations -----------------------------------------------
 
-def _toric_divisor(payload):
-    return _build_divisor(_build_datum(payload), payload["coeffs"])
-
-
 def _run_toric_volume(problem, opts):
     from .toric import local_volume_toric
 
-    d = _toric_divisor(problem["payload"])
-    return _record(problem, local_volume_toric(d), "toric.local_volume")
+    return _record(problem, local_volume_toric(_objects(problem)), "toric.local_volume")
 
 
 def _run_toric_h1(problem, opts):
     from .toric import h1_sequence, local_volume_toric
 
-    d = _toric_divisor(problem["payload"])
+    d = _objects(problem)
     seq = h1_sequence(d, opts["m_max"])
-    rows = [[m, c, _cell(norm)] for m, c, norm in seq]
-    return _record(
-        problem, local_volume_toric(d), "toric.h1_sequence",
-        sequences={"header": ["m", "count", "normalized"], "rows": rows},
-    )
+    return _record(problem, local_volume_toric(d), "toric.h1_sequence",
+                   ["m", "count", "normalized"], [[m, c, _cell(norm)] for m, c, norm in seq])
 
 
 def _run_monomial_mult(problem, opts):
     from .monomial import asymptotic_multiplicity, multiplicity_sequence
 
-    ideal = _build_ideal(problem["payload"])
+    ideal = _objects(problem)
     value = asymptotic_multiplicity(ideal)
     seq = multiplicity_sequence(ideal, opts["p_max"])
-    sequences = {
-        "header": ["p", "mult", "normalized"],
-        "rows": [[p, h, _cell(norm)] for p, h, norm in seq],
-    }
-    return _record(problem, value, "monomial.asymptotic_multiplicity", sequences)
+    return _record(problem, value, "monomial.asymptotic_multiplicity",
+                   ["p", "mult", "normalized"], [[p, h, _cell(norm)] for p, h, norm in seq])
 
 
 def _run_surface_volume(problem, opts):
     from .surface import divisor_local_volume, singularity_volume
 
-    graph = _build_graph(problem["payload"])
-    if "divisor" in problem["payload"]:
-        d = [_fraction(x) for x in problem["payload"]["divisor"]]
-        if len(d) != graph.rank:
-            raise ValidationFailure("divisor length must match the vertex count")
-        value = divisor_local_volume(graph, d)
-        return _record(problem, value, "surface.divisor_local_volume")
-    return _record(problem, singularity_volume(graph), "surface.singularity_volume")
+    graph, d = _objects(problem)
+    if d is None:
+        return _record(problem, singularity_volume(graph), "surface.singularity_volume")
+    return _record(problem, divisor_local_volume(graph, d), "surface.divisor_local_volume")
 
 
 def _run_cone_volume(problem, opts):
     from .cone import cone_singularity_volume
 
-    return _record(problem, cone_singularity_volume(_build_model(problem["payload"])),
+    return _record(problem, cone_singularity_volume(_objects(problem)),
                    "cone.singularity_volume")
 
 
 def _run_cone_gamma(problem, opts):
     from .cone import cone_gamma_volume
 
-    return _record(problem, cone_gamma_volume(_build_model(problem["payload"])),
-                   "cone.gamma_volume")
+    return _record(problem, cone_gamma_volume(_objects(problem)), "cone.gamma_volume")
 
 
 def _run_bdff(problem, opts):
     from .cone import bdff_cone_volume, cone_singularity_volume
 
-    model = _build_model(problem["payload"])
+    model = _objects(problem)
     big = bdff_cone_volume(model)
     if problem["kind"] == "cone":
         return _record(problem, big, "cone.nef_envelope_volume")
     small = cone_singularity_volume(model)
     rows = [["nef_envelope_volume", _cell(big)], ["singularity_volume", _cell(small)]]
-    return _record(
-        problem, big, "cone.nef_envelope_volume",
-        sequences={"header": ["quantity", "value"], "rows": rows},
-        verdict=bool(big >= small),
-    )
+    return _record(problem, big, "cone.nef_envelope_volume", ["quantity", "value"], rows,
+                   verdict=bool(big >= small))
 
 
 def _run_lambda_seq(problem, opts):
     from .cone import cone_singularity_volume, lambda_sequence
 
-    model = _build_model(problem["payload"])
+    model = _objects(problem)
     seq = lambda_sequence(model, opts["m_max"])
-    rows = [[m, lam, _cell(norm)] for m, lam, norm in seq]
-    return _record(
-        problem, cone_singularity_volume(model), "cone.lambda_sequence",
-        sequences={"header": ["m", "lambda", "normalized"], "rows": rows},
-    )
+    return _record(problem, cone_singularity_volume(model), "cone.lambda_sequence",
+                   ["m", "lambda", "normalized"],
+                   [[m, lam, _cell(norm)] for m, lam, norm in seq])
 
 
 def _run_fujita_check(problem, opts):
     from .toric import fujita_sequence, local_volume_toric
 
-    d = _toric_divisor(problem["payload"])
+    d = _objects(problem)
     value = local_volume_toric(d)
     seq = fujita_sequence(d, opts["p_max"])
     rows = [[p, _cell(mult), _cell(norm)] for p, mult, norm in seq]
@@ -417,33 +416,21 @@ def _run_fujita_check(problem, opts):
         tail = [norm for _, _, norm in seq[-3:]]
         if len(tail) == 3 and min(tail) > 0:
             ok = ok and (max(tail) - min(tail)) * 100 <= 3 * min(tail)
-    return _record(
-        problem, value, "toric.fujita_sequence",
-        sequences={"header": ["p", "mult", "normalized"], "rows": rows},
-        verdict=ok,
-    )
+    return _record(problem, value, "toric.fujita_sequence", ["p", "mult", "normalized"],
+                   rows, verdict=ok)
 
 
 def _run_convexity_check(problem, opts):
     from .toric import ToricDivisor, local_volume_toric
 
-    payload = problem["payload"]
-    datum = _build_datum(payload)
-    d_a = _build_divisor(datum, payload["coeffs_a"])
-    d_b = _build_divisor(datum, payload["coeffs_b"])
-    if datum.dim != 3:
-        raise ValidationFailure("convexity certification is implemented for "
-                                "three-dimensional cones")
-    mid = ToricDivisor(datum, [(a + b) / 2 for a, b in zip(d_a.coeffs, d_b.coeffs)])
+    d_a, d_b = _objects(problem)
+    mid = ToricDivisor(d_a.datum, [(a + b) / 2 for a, b in zip(d_a.coeffs, d_b.coeffs)])
     va, vb, vm = (local_volume_toric(x) for x in (d_a, d_b, mid))
     # midpoint log-convexity: vol(mid)^(1/3) <= (va^(1/3) + vb^(1/3)) / 2
     holds = compare_cbrt_sum(va, vb, 8 * vm) >= 0
     rows = [["vol_a", _cell(va)], ["vol_b", _cell(vb)], ["vol_mid", _cell(vm)]]
-    return _record(
-        problem, vm, "toric.log_convexity_check",
-        sequences={"header": ["quantity", "value"], "rows": rows},
-        verdict=bool(holds),
-    )
+    return _record(problem, vm, "toric.log_convexity_check", ["quantity", "value"], rows,
+                   verdict=bool(holds))
 
 
 _RUNNERS = {
@@ -472,13 +459,7 @@ def _emit_csv(record, stream):
         for row in seq["rows"]:
             stream.write(",".join(str(c) for c in row) + "\n")
         return
-    stream.write("value\n")
-    exact = record["exact_value"]
-    if "rational" in exact:
-        stream.write(exact["rational"] + "\n")
-    else:
-        q = exact["quadratic"]
-        stream.write(f"{q['a']}+{q['b']}*sqrt({q['c']})\n")
+    stream.write("value\n" + _exact_text(record["exact_value"]) + "\n")
 
 
 def _error(code, name, message, stream):

@@ -45,7 +45,7 @@ class ToricError(LocvolError):
     pass
 
 
-class NotInCone(ToricError):
+class NotInCone(ToricError, ValueError):
     pass
 
 

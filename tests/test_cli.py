@@ -339,6 +339,57 @@ INVALID_PAYLOADS = {
     # a gram matrix must be square and symmetric before its signature means anything
     "nonsymmetric-gram": _p1xc_with(gram=[[0, 1], [2, 0]]),
     "ragged-gram": _p1xc_with(gram=[[0, 1], [1, 0, 0]]),
+    "ray-outside-cone": ("toric-volume", {
+        "kind": "toric",
+        "payload": {"cone": {"generators": [[1, 0], [0, 1]]},
+                    "rays": [[1, 0], [0, 1], [-1, 1]], "coeffs": [0, 0, 1]}}),
+    # "1/0" matches the schema's rational pattern
+    "zero-denominator": ("toric-volume", {
+        "kind": "toric",
+        "payload": {"cone": {"generators": [[1, 0], [0, 1]]},
+                    "rays": [[1, 0], [0, 1], [1, 1]], "coeffs": [0, 0, "1/0"]}}),
+    "flat-convexity": ("convexity-check", {
+        "kind": "logconvexity",
+        "payload": {"cone": {"generators": [[1, 0], [0, 1]]},
+                    "rays": [[1, 0], [0, 1], [1, 1]],
+                    "coeffs_a": [0, 0, -1], "coeffs_b": [0, 0, "-1/2"]}}),
+    # the divisors are built before the dimension is checked
+    "flat-convexity-zero-denominator": ("convexity-check", {
+        "kind": "logconvexity",
+        "payload": {"cone": {"generators": [[1, 0], [0, 1]]},
+                    "rays": [[1, 0], [0, 1], [1, 1]],
+                    "coeffs_a": [0, 0, -1], "coeffs_b": [0, "1/0", 1]}}),
+    # the graph is built before the divisor's length is checked
+    "bad-edge-long-divisor": ("surface-volume", {
+        "kind": "surface",
+        "payload": {"vertices": [{"self_int": -2}], "edges": [{"i": 0, "j": 3}],
+                    "divisor": [1, 2]}}),
+}
+LATTICE_LENGTH = "lattice vectors must have length 2, the gram rank"
+MODEL_LENGTH = "k and h must have length 2, the gram rank"
+ASYMMETRIC_GRAM = "gram matrix must be square and symmetric"
+# the message of each case's error record, and so the order of the checks
+INVALID_PAYLOAD_MESSAGES = {
+    "bad-edge": "bad edge (0, 3, 1)",
+    "bad-edge-long-divisor": "bad edge (0, 3, 1)",
+    "complex-threshold": "threshold would be complex: need mixed^2 >= base*pol",
+    "flat-cone": "cone is not full-dimensional",
+    "flat-convexity": "convexity certification is implemented for three-dimensional cones",
+    "flat-convexity-zero-denominator": "bad rational '1/0': Fraction(1, 0)",
+    "long-ample": LATTICE_LENGTH,
+    "long-divisor": "divisor length must match the vertex count",
+    "long-k": MODEL_LENGTH,
+    "long-negative-curve": LATTICE_LENGTH,
+    "long-psef-generator": LATTICE_LENGTH,
+    "long-ray": "refinement rays must have length 3",
+    "nonsymmetric-gram": ASYMMETRIC_GRAM,
+    "outside-ambient": "generator (0, 1) outside the ambient cone",
+    "ragged-exponents": "inconsistent exponent dimensions",
+    "ragged-gram": ASYMMETRIC_GRAM,
+    "ray-outside-cone": "ray (-1, 1) is not in the cone",
+    "short-canonical": LATTICE_LENGTH,
+    "short-h": MODEL_LENGTH,
+    "zero-denominator": "bad rational '1/0': Fraction(1, 0)",
 }
 
 
@@ -347,9 +398,9 @@ def test_exit_2_when_payload_objects_cannot_be_built(tmp_path, result_validator,
     sub, problem = INVALID_PAYLOADS[case]
     code, out, _ = invoke(sub, write_problem(tmp_path, problem))
     assert code == 2, out
-    err = json.loads(out)
-    assert err["error"]["code"] == "validation"
-    result_validator.validate(err)
+    assert out == ('{"error":{"code":"validation","message":%s,"name":"ValidationFailure"}}\n'
+                   % json.dumps(INVALID_PAYLOAD_MESSAGES[case]))
+    result_validator.validate(json.loads(out))
 
 
 def test_exit_3_on_computational_error(tmp_path, result_validator):
@@ -608,6 +659,29 @@ def test_no_subcommand_loads_numpy_or_jsonschema(tmp_path):
     assert stages == expected
 
 
+# run with -S: a site hook may import importlib.resources before the probe
+RESOURCES_PROBE = """
+import io, json, sys
+from locvol import cli
+for sub, path in json.loads(sys.argv[1]):
+    print(json.dumps([sub, cli.run([sub, path], stdout=io.StringIO()),
+                      "importlib.resources" in sys.modules]))
+import importlib.resources
+print(json.dumps(["import importlib.resources", 0, "importlib.resources" in sys.modules]))
+"""
+
+
+def test_no_subcommand_loads_importlib_resources():
+    runs = [(sub, fixture(name)) for sub, name in SUBCOMMAND_FIXTURES]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", RESOURCES_PROBE, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the last line shows that the probe can see the module
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == (
+        [[sub, 0, False] for sub, _ in runs] + [["import importlib.resources", 0, True]])
+
+
 CLI_MODULES = ["locvol", "locvol.cli", "locvol.exactnum"]
 # the kernel modules each family of subcommands loads on top of CLI_MODULES:
 # toric calls need no surface or cone layer, and surface and cone calls
@@ -694,16 +768,49 @@ def test_kernel_errors_exit_3_through_one_root(monkeypatch, result_validator, mo
 def test_value_error_while_building_still_exits_2(monkeypatch):
     from locvol import cli
 
-    @cli._builder
     def build(payload):
         raise ValueError("stubbed payload")
 
-    monkeypatch.setitem(cli._RUNNERS, "surface-volume",
-                        lambda problem, opts: build(problem["payload"]))
+    monkeypatch.setitem(cli._BUILDERS, "surface", build)
     code, out, _ = invoke("surface-volume", fixture("a1.json"))
     assert code == 2
     assert json.loads(out)["error"] == {"code": "validation", "name": "ValidationFailure",
                                         "message": "stubbed payload"}
+
+
+def test_value_error_after_building_exits_3(monkeypatch):
+    from locvol import cli
+
+    def runner(problem, opts):
+        cli._objects(problem)
+        raise ValueError("stubbed computation")
+
+    monkeypatch.setitem(cli._RUNNERS, "surface-volume", runner)
+    code, out, _ = invoke("surface-volume", fixture("a1.json"))
+    assert code == 3
+    assert json.loads(out)["error"] == {"code": "computation", "name": "ValueError",
+                                        "message": "stubbed computation"}
+
+
+def test_builders_mirror_the_schema():
+    # a new kind needs a builder, a schema entry and a subcommand
+    from locvol import cli
+
+    schema = json.loads((SCHEMAS / "problem.schema.json").read_text())
+    kinds = set(schema["properties"]["kind"]["enum"])
+    assert set(cli._BUILDERS) == kinds
+    assert set(cli._BUILDERS) == {k for ks in SUBCOMMANDS.values() for k in ks}
+    payload_ref = {}
+    for rule in schema["allOf"]:
+        kind = rule["if"]["properties"]["kind"]
+        ref = rule["then"]["properties"]["payload"]["$ref"]
+        for k in kind.get("enum", [kind.get("const")]):
+            payload_ref[k] = ref
+    assert set(payload_ref) == kinds
+    for a in kinds:
+        for b in kinds:
+            same_ref = payload_ref[a] == payload_ref[b]
+            assert same_ref == (cli._BUILDERS[a] is cli._BUILDERS[b]), (a, b)
 
 
 def test_dd_budget_ends_with_a_record(monkeypatch, result_validator):
