@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement
-from math import factorial
+from itertools import accumulate, count, islice
+from math import comb, factorial
 from operator import ge, sub
 
 from . import LocvolError
@@ -92,21 +92,29 @@ class MonomialIdeal:
         return hull_polyhedron(self.dim, self.generators, self.rays)
 
 
+def _budget(k: int, p: int) -> None:
+    """Refuse level p when C(k+p-1, p), its p-fold sums of k generators, passes the limit."""
+    if (raw_count := comb(k + p - 1, p)) > GENERATOR_LIMIT:
+        raise GeneratorBlowup(f"{raw_count} candidate generators at power {p}")
+
+
+def _powers(ideal: MonomialIdeal):
+    """I, I^2, ...: level p is level p-1 times I, the minimalized sums g + h."""
+    level = MonomialIdeal([(0,) * ideal.dim], ideal.ambient)
+    for p in count(1):
+        _budget(len(ideal.generators), p)  # before the product
+        level = MonomialIdeal({tuple([a + b for a, b in zip(g, h)]) for g in level.generators
+                               for h in ideal.generators}, ideal.ambient)
+        yield level
+
+
 def power(ideal: MonomialIdeal, p: int) -> MonomialIdeal:
-    """The p-th power: minimalized p-fold sums of generators."""
+    """The p-th level of `_powers`, refused up front on level p's budget,
+    which bounds those of the levels below it."""
     if p < 1:
         raise ValueError("power must be >= 1")
-    k = len(ideal.generators)
-    raw_count = 1
-    for i in range(1, p + 1):
-        raw_count = raw_count * (k + i - 1) // i
-    if raw_count > GENERATOR_LIMIT:
-        raise GeneratorBlowup(f"{raw_count} candidate generators at power {p}")
-    sums = {
-        tuple([sum(col) for col in zip(*combo)])
-        for combo in combinations_with_replacement(ideal.generators, p)
-    }
-    return MonomialIdeal(sums, ideal.ambient)
+    _budget(len(ideal.generators), p)
+    return next(islice(_powers(ideal), p - 1, None))
 
 
 def _orthant_transform(ideal: MonomialIdeal):
@@ -196,7 +204,7 @@ def h1_dim(ideal: MonomialIdeal) -> int:
     n = ideal.dim
     if n == 1:  # one fibre, over the empty prefix
         return ideal.generators[0][0] - sat.generators[0][0]
-    gens = ideal.generators + sat.generators
+    gens = [*ideal.generators, *sat.generators]
     bound = max(x for g in gens for x in g[:-1])
     _fibre_count((0,) * n, (bound,) * n)  # LatticeBudget before any work
     never = 1 + max(g[-1] for g in gens)  # height of a fibre nothing enters
@@ -241,13 +249,10 @@ def asymptotic_multiplicity(ideal: MonomialIdeal) -> Fraction:
 
 
 def multiplicity_sequence(ideal: MonomialIdeal, p_max: int):
-    """(p, h1 of the p-th power, n!-normalized value) for p = 1..p_max."""
+    """(p, h1 of I^p, n!-normalized value) for p = 1..p_max, one product per level."""
     if ideal.ambient is not None:
         moved, _ = _orthant_transform(ideal)
         return multiplicity_sequence(moved, p_max)
     n = ideal.dim
-    out = []
-    for p in range(1, p_max + 1):
-        h1 = h1_dim(power(ideal, p))
-        out.append((p, h1, Fraction(factorial(n) * h1, p ** n)))
-    return out
+    return [(p, h1, Fraction(factorial(n) * h1, p ** n))
+            for p, h1 in zip(range(1, p_max + 1), map(h1_dim, _powers(ideal)))]

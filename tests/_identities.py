@@ -23,6 +23,7 @@ divisor, the interior rays of a toric datum and relabelled dual graphs.
 """
 
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 from math import comb
 
 from locvol.cone import (
@@ -32,6 +33,7 @@ from locvol.exactnum import QuadraticNumber, nth_root_bounds, solve_quadratic
 from locvol.geometry import Halfspace, Polyhedron
 from locvol.linalg import dot, solve_linear
 from locvol.linprog import solve_lp
+from locvol.monomial import GENERATOR_LIMIT, GeneratorBlowup, MonomialIdeal
 from locvol.surface import DualGraph, InvalidModel, lattice_zariski
 from locvol.toric import INTERIOR, ToricDivisor
 
@@ -459,6 +461,25 @@ def certified_cbrt_gap(x, y, z, scale=10 ** 9):
     yl, yh = nth_root_bounds(y, 3, scale * 2)
     zl, zh = nth_root_bounds(z, 3, scale)
     return ((xl + yl, xh + yh), (zl, zh))
+
+
+def reference_power(ideal, p):
+    """The p-th power from scratch: minimalized p-fold sums of generators,
+    refused before any is built when C(k+p-1, p), their number for k
+    generators, passes GENERATOR_LIMIT."""
+    if p < 1:
+        raise ValueError("power must be >= 1")
+    k = len(ideal.generators)
+    raw_count = 1
+    for i in range(1, p + 1):
+        raw_count = raw_count * (k + i - 1) // i
+    if raw_count > GENERATOR_LIMIT:
+        raise GeneratorBlowup(f"{raw_count} candidate generators at power {p}")
+    sums = {
+        tuple([sum(col) for col in zip(*combo)])
+        for combo in combinations_with_replacement(ideal.generators, p)
+    }
+    return MonomialIdeal(sums, ideal.ambient)
 
 
 def contains_exponent(ideal, u):

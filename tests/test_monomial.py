@@ -1,6 +1,9 @@
+import gc
 import random
+import sys
 from fractions import Fraction as F
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -20,7 +23,7 @@ from locvol.monomial import (
 )
 from locvol.toric import PointedCone
 
-from _identities import contains_exponent, fm_project_out, same_set
+from _identities import contains_exponent, fm_project_out, reference_power, same_set
 
 
 def ideal(*gens):
@@ -224,3 +227,74 @@ def test_h1_dim_matches_dense_staircase_count():
         for _ in range(15):
             I = _random_ideal(rng, cone.dim, cone)
             assert h1_dim(I) == dense_h1(I), I
+
+
+def _reference_sequence(I, p_max):
+    """multiplicity_sequence with every power built from scratch."""
+    rows = []
+    for p in range(1, p_max + 1):
+        h1 = h1_dim(reference_power(I, p))
+        rows.append((p, h1, F(factorial(I.dim) * h1, p ** I.dim)))
+    return rows
+
+
+def test_power_walk_matches_the_from_scratch_power():
+    rng = random.Random(34)
+    cones = {2: PointedCone([(1, 0), (1, 1)]),
+             3: PointedCone([(1, 0, 0), (1, 1, 0), (0, 1, 1)]),
+             4: PointedCone([(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)])}
+    for n, cases, top in ((2, 24, 46), (3, 12, 8), (4, 8, 8)):
+        for case in range(cases):
+            ambient = cones[n] if case % 3 == 2 else None
+            I = _random_ideal(rng, n, ambient)
+            while len(I.generators) > 3 and n == 2:  # keeps the reference at p 46 cheap
+                I = _random_ideal(rng, n, ambient)
+            p_max = rng.randint(top // 2, top)
+            for p in (1, 2, p_max):
+                assert power(I, p) == reference_power(I, p), (I, p)
+                assert repr(power(I, p)) == repr(reference_power(I, p))
+            assert multiplicity_sequence(I, p_max) == _reference_sequence(I, p_max), I
+
+
+def test_power_walk_refuses_the_same_first_level():
+    for k, first in ((1415, 2), (183, 3)):
+        line = MonomialIdeal([(i, k - 1 - i) for i in range(k)])
+        # the walk stops at p_max: the level past it would be refused
+        assert multiplicity_sequence(line, first - 1) == _reference_sequence(line, first - 1)
+        for p_max in (first, first + 2):
+            with pytest.raises(GeneratorBlowup) as walked:
+                multiplicity_sequence(line, p_max)
+            with pytest.raises(GeneratorBlowup) as scratch:
+                _reference_sequence(line, p_max)
+            assert str(walked.value) == str(scratch.value)
+            assert str(walked.value).endswith(f"at power {first}")
+            with pytest.raises(GeneratorBlowup) as walked:
+                power(line, p_max)
+            with pytest.raises(GeneratorBlowup) as scratch:
+                reference_power(line, p_max)
+            assert str(walked.value) == str(scratch.value)
+
+
+def test_multiplicity_sequences_leave_no_blocks_behind():
+    # a run of staircase sequences must not park freed blocks on the
+    # allocator's freelists.  CPython 3.11 keeps every freed 20-tuple on a
+    # freelist it never draws from, up to 2,000 of them; the p-fold
+    # combination tuples of powers built from scratch filled it within 20
+    # sequences (about 1,700 blocks over this window), while the walk parks
+    # one or two per sequence.  One full collection empties the freelists before
+    # the warm-up, whatever earlier tests left there; none runs in the
+    # measured window, where it would hide the drift
+    rng = random.Random(34)
+    runs = []
+    for _ in range(200):
+        gens = [(4, 0), (rng.randint(1, 3), rng.randint(2, 4))]
+        if rng.random() < 0.5:
+            gens = [g[::-1] for g in gens]
+        runs.append((MonomialIdeal(gens), rng.choice((30, 46))))
+    gc.collect()
+    for I, p in runs[:5]:
+        multiplicity_sequence(I, p)
+    before = sys.getallocatedblocks()
+    for I, p in runs:
+        multiplicity_sequence(I, p)
+    assert sys.getallocatedblocks() - before < 800
