@@ -33,7 +33,7 @@ _EXPORTS = {
     "monomial": ("MonomialIdeal", "asymptotic_multiplicity", "h1_dim",
                  "multiplicity_sequence", "power", "saturation"),
     "surface": ("DualGraph", "SurfaceLattice", "divisor_local_volume",
-                "log_canonical_intersections", "projective_volume",
+                "divisor_volume_function", "log_canonical_intersections", "projective_volume",
                 "singularity_volume", "zariski_decompose"),
     "cone": ("AbelianCover", "Curve", "LatticeModel", "PiecewisePoly", "ProjSpace",
              "bdff_cone_volume", "cone_gamma_volume", "cone_singularity_volume",

@@ -11,10 +11,9 @@ singularity dimension times the polarization degree.  Curves and projective
 spaces have Picard rank one, so K and H are integer multiples of one class l
 with l^n = 1 and vol(x*l) = x^n (`_rank_one`).  Covers and round lattice
 models walk a round pseudo-effective cone to one quadratic piece; lattices
-with a polyhedral cone read one Zariski chamber per t-interval of a
-worklist, one decomposition and one solve per chamber, and sort the
-chambers into pieces (`_zariski_chamber_walk`).  All integration is
-symbolic; nothing is numeric.
+with a polyhedral cone hand the curves' Gram matrix, the class's pairings
+with the curves and its square to the Zariski chamber walk of
+`surface.chamber_walk`.  All integration is symbolic; nothing is numeric.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from math import comb, factorial
 
 from . import LocvolError
 from .exactnum import FieldMismatch, QuadraticNumber, solve_quadratic
-from .linalg import solve_linear
-from .surface import InvalidModel, SurfaceLattice, _bilinear, lattice_zariski
+from .surface import InvalidModel, SurfaceLattice, _bilinear, chamber_walk
 
 
 class ConeError(LocvolError):
@@ -260,8 +258,8 @@ def _round_end(c0, c1, c2, l0, l1):
 def _surface_volume_function(model, k, h):
     pair, ample, canonical, h_vec = _surface_form(model)
     a_vec = tuple([k * x + h * y for x, y in zip(canonical, h_vec)])
+    square = (pair(a_vec, a_vec), -2 * pair(a_vec, h_vec), pair(h_vec, h_vec))
     if ample is not None:
-        square = (pair(a_vec, a_vec), -2 * pair(a_vec, h_vec), pair(h_vec, h_vec))
         reach = _round_end(*square, pair(a_vec, ample), -pair(h_vec, ample))
         if not 0 < reach:
             return PiecewisePoly.zero()
@@ -274,51 +272,9 @@ def _surface_volume_function(model, k, h):
         raise InvalidModel("polarization direction stays pseudo-effective forever")
     if reach <= 0:
         return PiecewisePoly.zero()
-    breakpoints, pieces = _zariski_chamber_walk(lat, a_vec, h_vec, reach)
-    return PiecewisePoly(breakpoints, pieces)
-
-
-def _zariski_chamber_walk(lat: SurfaceLattice, a_vec, h_vec, reach):
-    """Breakpoints and quadratic pieces of vol(a - t*h) on [0, reach], in order.
-
-    On a Zariski chamber the negative part is affine in t, so each interval
-    (lo, hi) left to walk reads the chamber at its middle s off one
-    decomposition (the support S and coefficients x(s)) and one solve on S's
-    Gram matrix (their slope dx).  The piece ends at the walls where a
-    coefficient in S or the nef part's pairing with a curve outside S turns
-    negative; what lies beyond them on either side is left to walk.
-    """
     curves = lat.negative_curves
-    todo, chambers = [(Fraction(0), Fraction(reach))], []
-    while todo:
-        lo, hi = todo.pop()
-        if not lo < hi:
-            continue
-        s = (lo + hi) / 2
-        nef, x = lattice_zariski(lat, tuple([a - s * h for a, h in zip(a_vec, h_vec)]))
-        support = [i for i in sorted(x) if x[i] != 0]
-        dx = solve_linear([[lat.curve_gram[i][j] for j in support] for i in support],
-                          [-lat.pair(h_vec, curves[i]) for i in support])
-        slope = tuple([-y for y in h_vec])
-        for i, d in zip(support, dx):
-            slope = tuple([q - d * c for q, c in zip(slope, curves[i])])
-        const = tuple([p - s * q for p, q in zip(nef, slope)])
-        walls = [(x[i] - s * d, d) for i, d in zip(support, dx)]
-        walls += [(lat.pair(const, c), lat.pair(slope, c))
-                  for i, c in enumerate(curves) if i not in support]
-        left, right = lo, hi
-        for f0, f1 in walls:  # the chamber keeps f0 + t*f1 >= 0
-            if f1 == 0 and f0 < 0:
-                raise InvalidModel("chamber constraint violated identically")
-            if f1 > 0 and -f0 / f1 <= s:
-                left = max(left, -f0 / f1)
-            if f1 < 0 and -f0 / f1 >= s:
-                right = min(right, -f0 / f1)
-        piece = (lat.pair(const, const), 2 * lat.pair(const, slope), lat.pair(slope, slope))
-        chambers.append((left, right, piece))
-        todo += [(lo, left), (right, hi)]
-    chambers.sort(key=lambda ch: ch[0])
-    return [Fraction(0)] + [ch[1] for ch in chambers], [ch[2] for ch in chambers]
+    return PiecewisePoly(*chamber_walk(lat.curve_gram, [pair(a_vec, c) for c in curves],
+                                       [-pair(h_vec, c) for c in curves], square, reach))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,14 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 
+def as_int(x) -> int:
+    """x as an int; ValueError where int(x) would truncate it."""
+    q = x if type(x) is int else Fraction(x)
+    if q.denominator != 1:
+        raise ValueError(f"{x!r} is not an integer")
+    return int(q)
+
+
 def vec_gcd(v):
     g = 0
     for x in v:

@@ -25,7 +25,7 @@ from operator import ge, sub
 
 from . import LocvolError
 from .geometry import Polyhedron, _fibre_count, hull_polyhedron, volume_of_difference
-from .linalg import mat_det, solve_linear
+from .linalg import as_int, mat_det, solve_linear
 from .toric import PointedCone, _minimal_generators, saturate_region
 
 GENERATOR_LIMIT = 10 ** 6
@@ -51,7 +51,7 @@ class MonomialIdeal:
     """
 
     def __init__(self, generators, ambient: PointedCone | None = None):
-        gens = [tuple([int(x) for x in g]) for g in generators]
+        gens = [tuple([as_int(x) for x in g]) for g in generators]
         if not gens:
             raise ValueError("need at least one generator")
         dim = len(gens[0])

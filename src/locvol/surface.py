@@ -5,11 +5,11 @@ negative definite intersection matrix determines the resolution data of a
 normal surface singularity.  Any intersection vector decomposes uniquely into
 a relatively nef part and an effective part supported where nefness fails;
 the singularity volume is minus the self-intersection of the nef part of the
-log-canonical vector.  The same growing-support iteration also computes
-volumes of divisor classes on projective-surface lattices against a declared
-list of negative curves, whose pseudo-effective cone is either round or
-spanned by declared generators; a spanned cone is read through its facet
-normals, from one double description.
+log-canonical vector.  The same growing-support iteration computes volumes
+on projective-surface lattices against declared negative curves, whose
+pseudo-effective cone is round or spanned by declared generators, read
+through its facet normals from one double description; one Zariski chamber
+walk on the curves' pairings gives volumes along segments for both families.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import LocvolError
-from .linalg import clear_denominators, dot, primitive, solve_linear
+from .linalg import as_int, clear_denominators, dot, primitive, solve_linear
 
 
 class SurfaceError(LocvolError):
@@ -110,7 +110,7 @@ class DualGraph:
     """Weighted dual graph of a good resolution of a surface singularity."""
 
     def __init__(self, vertices, edges=()):
-        verts = [(int(s), int(g)) for s, g in vertices]
+        verts = [(as_int(s), as_int(g)) for s, g in vertices]
         if not verts:
             raise ValueError("graph needs at least one vertex")
         if any(s > -1 or g < 0 for s, g in verts):
@@ -118,7 +118,7 @@ class DualGraph:
         n = len(verts)
         parsed = []  # one pass, so a one-shot iterable of edges is read once
         for e in edges:
-            i, j, mult = (int(e[0]), int(e[1]), int(e[2]) if len(e) > 2 else 1)
+            i, j, mult = (as_int(e[0]), as_int(e[1]), as_int(e[2]) if len(e) > 2 else 1)
             if i == j or not (0 <= i < n and 0 <= j < n) or mult < 1:
                 raise ValueError(f"bad edge {e}")
             parsed.append((i, j, mult))
@@ -178,6 +178,55 @@ def _support_iteration(gram, target):
     raise SurfaceError("support iteration failed to terminate")  # unreachable
 
 
+def _negative_part(gram, target):
+    """The support iteration's coefficients, if they are a negative part."""
+    try:
+        coeffs, _ = _support_iteration(gram, target)
+    except ValueError:
+        raise InvalidModel("declared negative curves do not span a definite support")
+    if any(v < 0 for v in coeffs.values()):
+        raise NegativeCoefficient(f"negative part {coeffs} of a pseudo-effective class")
+    return coeffs
+
+
+def chamber_walk(gram, p0, p1, square, reach):
+    """Breakpoints and pieces of P(t)^2 on [0, reach], in order, for the nef
+    part P(t) of the class D(t) with pairings p0 + t*p1 with the curves and
+    D(t)^2 = square[0] + square[1]*t + square[2]*t^2.  On a chamber with
+    support S, P^2 = D^2 - x_S.p_S, where x_S(t) solves gram_S x = p_S(t);
+    the chamber ends where a coefficient in S, or P's pairing
+    p_k - sum_i x_i*gram_ik with a curve k off S, turns negative."""
+    todo, chambers = [(Fraction(0), Fraction(reach))], []
+    while todo:
+        lo, hi = todo.pop()
+        if not lo < hi:
+            continue
+        s = (lo + hi) / 2
+        x = _negative_part(gram, [a + s * b for a, b in zip(p0, p1)])
+        support = [i for i in sorted(x) if x[i] != 0]
+        dx = solve_linear([[gram[i][j] for j in support] for i in support],
+                          [p1[i] for i in support])
+        x0 = [x[i] - s * d for i, d in zip(support, dx)]
+        cols = [[gram[i][k] for i in support] for k in range(len(p0))]
+        walls = list(zip(x0, dx)) + [(p0[k] - dot(x0, cols[k]), p1[k] - dot(dx, cols[k]))
+                                     for k in range(len(p0)) if k not in support]
+        left, right = lo, hi
+        for f0, f1 in walls:  # the chamber keeps f0 + t*f1 >= 0
+            if f1 == 0 and f0 < 0:
+                raise InvalidModel("chamber constraint violated identically")
+            if f1 > 0 and -f0 / f1 <= s:
+                left = max(left, -f0 / f1)
+            if f1 < 0 and -f0 / f1 >= s:
+                right = min(right, -f0 / f1)
+        q0, q1 = [p0[i] for i in support], [p1[i] for i in support]
+        piece = (square[0] - dot(x0, q0), square[1] - dot(x0, q1) - dot(dx, q0),
+                 square[2] - dot(dx, q1))
+        chambers.append((left, right, piece))
+        todo += [(lo, left), (right, hi)]
+    chambers.sort(key=lambda ch: ch[0])
+    return [Fraction(0)] + [ch[1] for ch in chambers], [ch[2] for ch in chambers]
+
+
 def zariski_decompose(graph: DualGraph, target) -> ZariskiParts:
     """Relative Zariski decomposition of the class with the given intersection
     numbers; rejects classes whose effective part comes out negative."""
@@ -205,6 +254,23 @@ def divisor_local_volume(graph: DualGraph, target) -> Fraction:
     return -_bilinear(parts.nef, graph.matrix, parts.nef)
 
 
+def divisor_volume_function(graph: DualGraph, target0, target1):
+    """Breakpoints and pieces of t -> divisor_local_volume(graph, target0 -
+    t*target1), zero past the least t >= 0 where every pairing is <= 0, so
+    target1 must be positive.  The class with pairings p has square p.M^-1.p,
+    and each piece of the walk on it is negated."""
+    p0, p1 = [Fraction(x) for x in target0], [-Fraction(x) for x in target1]
+    if len(p0) != graph.rank or len(p1) != graph.rank:
+        raise ValueError("intersection vector length mismatch")
+    if any(b >= 0 for b in p1):
+        raise ValueError("target1 must pair positively with every curve")
+    w0, w1 = solve_linear(graph.matrix, p0), solve_linear(graph.matrix, p1)
+    square = (dot(p0, w0), 2 * dot(p0, w1), dot(p1, w1))
+    reach = max([Fraction(0)] + [-a / b for a, b in zip(p0, p1)])
+    breakpoints, pieces = chamber_walk(graph.matrix, p0, p1, square, reach)
+    return breakpoints, [tuple([-c for c in piece]) for piece in pieces]
+
+
 def singularity_volume(graph: DualGraph) -> Fraction:
     """Volume of the singularity: the log-canonical class's local volume."""
     return divisor_local_volume(graph, log_canonical_intersections(graph))
@@ -225,7 +291,7 @@ class SurfaceLattice:
 
     def __init__(self, gram, canonical, ample, negative_curves=(),
                  psef_generators=()):
-        gram = tuple([tuple([int(x) for x in row]) for row in gram])
+        gram = tuple([tuple([as_int(x) for x in row]) for row in gram])
         n = len(gram)
         if any(len(row) != n for row in gram) or any(
             gram[i][j] != gram[j][i] for i in range(n) for j in range(n)
@@ -235,9 +301,9 @@ class SurfaceLattice:
             raise InvalidLattice("gram matrix must have signature (1, rank-1)")
         self.rank = n
         self.gram = gram
-        self.canonical = tuple([int(x) for x in canonical])
-        self.ample = tuple([int(x) for x in ample])
-        self.negative_curves = tuple([tuple([int(x) for x in c]) for c in negative_curves])
+        self.canonical = tuple([as_int(x) for x in canonical])
+        self.ample = tuple([as_int(x) for x in ample])
+        self.negative_curves = tuple([tuple([as_int(x) for x in c]) for c in negative_curves])
         self.psef_generators = tuple([tuple([Fraction(x) for x in g])
                                       for g in psef_generators])
         if any(len(v) != n for v in (self.canonical, self.ample,
@@ -329,12 +395,7 @@ def lattice_zariski(lattice: SurfaceLattice, d):
     """
     d = tuple([Fraction(x) for x in d])
     curves = lattice.negative_curves
-    try:
-        coeffs, _ = _support_iteration(lattice.curve_gram, [lattice.pair(d, c) for c in curves])
-    except ValueError:
-        raise InvalidModel("declared negative curves do not span a definite support")
-    if any(v < 0 for v in coeffs.values()):
-        raise NegativeCoefficient(f"negative part {coeffs} of a pseudo-effective class")
+    coeffs = _negative_part(lattice.curve_gram, [lattice.pair(d, c) for c in curves])
     nef = d
     for i, v in coeffs.items():
         nef = tuple([a - v * c for a, c in zip(nef, curves[i])])

@@ -34,7 +34,7 @@ from .geometry import (
     positive_functional,
     volume_of_difference,
 )
-from .linalg import dot, mat_rank, primitive
+from .linalg import as_int, dot, mat_rank, primitive
 
 BOUNDARY = "boundary"
 FACE_INTERIOR = "face_interior"
@@ -53,7 +53,7 @@ class PointedCone:
     """Full-dimensional pointed rational cone, given by generating rays."""
 
     def __init__(self, generators):
-        gens = [primitive([int(x) for x in g]) for g in generators]
+        gens = [primitive([as_int(x) for x in g]) for g in generators]
         if not gens or any(not any(g) for g in gens):
             raise ValueError("cone needs nonzero generators")
         dim = len(gens[0])
@@ -90,7 +90,7 @@ class ToricDatum:
     """A pointed cone together with all rays of a refining fan."""
 
     def __init__(self, cone: PointedCone, refinement_rays):
-        rays = tuple([primitive([int(x) for x in r]) for r in refinement_rays])
+        rays = tuple([primitive([as_int(x) for x in r]) for r in refinement_rays])
         if any(len(r) != cone.dim for r in rays):
             raise ValueError(f"refinement rays must have length {cone.dim}")
         if any(not any(r) for r in rays):

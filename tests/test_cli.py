@@ -442,6 +442,46 @@ def test_polarization_meeting_the_ample_class_negatively_exits_3(
     result_validator.validate(err)
 
 
+# a lattice model whose chamber walk meets a support with a singular Gram block
+SINGULAR_WALK = {"type": "lattice", "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                 "canonical": [-3, 1, 1], "ample": [1, 0, 0],
+                 "negative_curves": [[1, -1, 1], [1, -2, 1], [1, -1, -2], [1, 2, 0],
+                                     [1, -1, 2]],
+                 "k": [1, -4, -1], "h": [4, -3, 1]}
+SINGULAR_WALK["psef_generators"] = SINGULAR_WALK["negative_curves"]
+
+
+def test_chamber_walk_on_a_singular_support_exits_3(tmp_path, result_validator):
+    path = write_problem(tmp_path, {"kind": "cone", "payload": {"model": SINGULAR_WALK}})
+    code, out, _ = invoke("cone-gamma", path)
+    assert code == 3, out
+    err = json.loads(out)
+    assert (err["error"]["name"], err["error"]["message"]) == (
+        "InvalidModel", "declared negative curves do not span a definite support")
+    result_validator.validate(err)
+
+
+def test_identically_violated_chamber_wall_exits_3(tmp_path, monkeypatch, result_validator):
+    # no support iteration leaves a wall violated for every t, since the nef
+    # part at the sampled t pairs non-negatively with every curve; one that
+    # returns no support for 3L + E_1, which meets E_1 negatively while
+    # H = L meets it in 0, does
+    import locvol.surface as surface
+
+    monkeypatch.setattr(surface, "_support_iteration", lambda gram, target: ({}, target))
+    curves = [[0, 1, 0], [0, 0, 1], [1, -1, -1]]
+    model = {"type": "lattice", "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+             "canonical": [-3, 1, 1], "ample": [3, -1, -1], "negative_curves": curves,
+             "psef_generators": curves, "k": [3, 1, 0], "h": [1, 0, 0]}
+    path = write_problem(tmp_path, {"kind": "cone", "payload": {"model": model}})
+    code, out, _ = invoke("cone-volume", path)
+    assert code == 3, out
+    err = json.loads(out)
+    assert (err["error"]["name"], err["error"]["message"]) == (
+        "InvalidModel", "chamber constraint violated identically")
+    result_validator.validate(err)
+
+
 # psef generators that no surface's pseudo-effective cone has: (model, the
 # refusal's message); each used to print a volume or fail in the wrong place
 INCONSISTENT_PSEF_CONES = {
@@ -720,7 +760,7 @@ def test_star_import_binds_every_exported_name():
 
     import locvol
 
-    assert len(locvol.__all__) == len(set(locvol.__all__)) == 39
+    assert len(locvol.__all__) == len(set(locvol.__all__)) == 40
     names = {}
     exec("from locvol import *", names)
     for name in locvol.__all__:

@@ -25,7 +25,6 @@ from locvol.cone import (
     section_count_curve,
     volume_function,
     _simplify,
-    _zariski_chamber_walk,
 )
 from locvol.exactnum import QuadraticNumber
 from locvol.surface import SurfaceLattice, projective_volume
@@ -601,7 +600,8 @@ def test_chamber_walk_as_before():
             reach = lat.psef_interval(a, tuple(-y for y in h))[1]
             if not reach > 0:
                 continue
-            new = _zariski_chamber_walk(lat, a, h, reach)
+            f = volume_function(LatticeModel(lat, a, h), 1, 0)  # vol(a - t*h)
+            new = (list(f.breakpoints), list(f.pieces))
             assert repr(new) == repr(reference_chamber_walk(lat, a, h, reach))
             done += 1
             several += len(new[1]) > 1

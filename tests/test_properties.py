@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from locvol.exactnum import QuadraticNumber, compare_cbrt_sum, nth_root_bounds
 from locvol.geometry import Polyhedron, _cap_halfspace, _difference_cap, volume_bounded
+from locvol.linalg import solve_linear
 from locvol.linprog import solve_lp
 from locvol.monomial import MonomialIdeal, h1_dim, power, saturation
 from locvol.surface import (
     DualGraph,
     NotNegativeDefinite,
     divisor_local_volume,
+    divisor_volume_function,
     log_canonical_intersections,
     singularity_volume,
     zariski_decompose,
@@ -281,6 +283,42 @@ def test_cyclic_quotients_agree_with_chain_graphs():
             target = [a[i - 1] + a[i + 1] - b * a[i] for i, b in enumerate(bs, 1)]
             assert local_volume_toric(ToricDivisor(datum, a)) == \
                 divisor_local_volume(chain, target), (n, q, a)
+
+
+def test_graph_volume_functions_follow_the_toric_volumes():
+    # t -> vol(target0 - t*target1) on the chain graph of 1/n(1,q), piece by
+    # piece, against divisor_local_volume and the toric divisor a0 - t*a1
+    # with those pairings; a1 is zero on the two rays of the cone
+    rng = random.Random(35)
+    segments = several = 0
+    for n, q, bs, datum in _cyclic_quotients():
+        k = len(bs)
+        chain = DualGraph([(-b, 0) for b in bs], [(i, i + 1, 1) for i in range(k - 1)])
+        for _ in range(2):
+            target0 = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in bs]
+            target0[rng.randrange(k)] = F(rng.randint(1, 4), rng.randint(1, 3))
+            target1 = [F(rng.randint(1, 4), rng.randint(1, 3)) for _ in bs]
+            u, v = F(rng.randint(-3, 3)), F(rng.randint(-3, 3))
+            rhs = list(target0)
+            rhs[0] -= u
+            rhs[-1] -= v
+            a0 = [u] + list(solve_linear(chain.matrix, rhs)) + [v]
+            a1 = [F(0)] + list(solve_linear(chain.matrix, target1)) + [F(0)]
+            breakpoints, pieces = divisor_volume_function(chain, target0, target1)
+            assert pieces and breakpoints[0] == 0, (n, q)
+            checks = [(breakpoints[-1] + 1, (F(0),))]
+            for lo, hi, piece in zip(breakpoints, breakpoints[1:], pieces):
+                inner = lo + (hi - lo) * F(rng.randint(1, 99), 100)
+                checks += [(t, piece) for t in (lo, hi, (lo + hi) / 2, inner)]
+            for t, piece in checks:
+                value = sum(c * t ** j for j, c in enumerate(piece))
+                assert value == divisor_local_volume(
+                    chain, [x - t * y for x, y in zip(target0, target1)]), (n, q, t)
+                assert value == local_volume_toric(
+                    ToricDivisor(datum, [x - t * y for x, y in zip(a0, a1)])), (n, q, t)
+            segments += 1
+            several += len(pieces) > 1
+    assert (segments, several >= 40) == (82, True), several
 
 
 # -- lattice counts against their Ehrhart quasi-polynomial ---------------------

@@ -11,6 +11,7 @@ from locvol.surface import (
     NotNegativeDefinite,
     SurfaceLattice,
     divisor_local_volume,
+    divisor_volume_function,
     lattice_zariski,
     log_canonical_intersections,
     projective_volume,
@@ -257,6 +258,36 @@ def test_orthogonality_on_lattice():
     nef, coeffs = lattice_zariski(lat, (2, 1))
     for i, v in coeffs.items():
         assert lat.pair(nef, lat.negative_curves[i]) == 0
+
+
+def test_graph_volume_function_of_one_curve():
+    # D.E = p on a -2 curve: D = -p/2 E, vol = p^2/2 while p >= 0
+    assert divisor_volume_function(one_vertex(-2, 0), (3,), (1,)) == (
+        [F(0), F(3)], [(F(9, 2), F(-3), F(1, 2))])
+    assert divisor_volume_function(one_vertex(-2, 0), (-3,), (1,)) == ([F(0)], [])
+
+
+@pytest.mark.parametrize("target1", [(1, 0), (2, -1)])
+def test_graph_volume_function_needs_a_positive_slope(target1):
+    with pytest.raises(ValueError):
+        divisor_volume_function(chain(-2, -2), (1, 1), target1)
+
+
+def test_non_integral_input_is_refused():
+    from locvol.monomial import MonomialIdeal
+    from locvol.toric import PointedCone, ToricDatum
+
+    # int() truncated these: 3/2 to 1, -2.5 to -2, 5/2 to 2 and 1.9 to 1
+    for build in (lambda: PointedCone([(F(3, 2), 0), (0, 1)]),
+                  lambda: singularity_volume(DualGraph([(-2.5, 0)])),
+                  lambda: MonomialIdeal([(F(5, 2), 0), (0, 1.9)]),
+                  lambda: ToricDatum(PointedCone([(1, 0), (0, 1)]),
+                                     [(1, 0), (0, 1), (F(1, 2), 1)]),
+                  lambda: SurfaceLattice([[1, 0], [0, -1]], (-2, 0), (1, F(1, 3)))):
+        with pytest.raises(ValueError, match="is not an integer"):
+            build()
+    assert PointedCone([(F(4, 2), 0), (0, 1.0)]).generators == ((1, 0), (0, 1))
+    assert singularity_volume(DualGraph([(-2.0, 0)])) == 0
 
 
 def test_singular_support_is_an_invalid_model():
